@@ -1,0 +1,8 @@
+"""Lets ``python3 -m pytest perfbench`` import the program from ``src``."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
