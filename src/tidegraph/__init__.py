@@ -12,9 +12,7 @@ from .encoders import (
     MteConfig,
     SeasonTrend,
     bie_counts,
-    bie_embed,
     bie_reconstruct,
-    build_ste_signal,
     encode_coarse_time,
     encode_fine_time,
     mix_temporal,
@@ -23,7 +21,6 @@ from .encoders import (
 from .events import (
     DatasetManifest,
     EventStore,
-    GraphEvent,
     SplitRanges,
     SplitSpec,
     chronological_split,
@@ -47,7 +44,6 @@ from .model import (
     featurize_pairs,
     forward_batch,
     grad_check,
-    link_head,
     load_checkpoint,
     loss_and_grads,
     predict_probs,
@@ -61,11 +57,7 @@ from .sampling import (
     NegativeSamplingStrategy,
     NeighborSampler,
     NeighborSequence,
-    build_batch_index,
-    sample_negatives,
-    sample_neighbors,
 )
 from .synth import cycle_oracle_scores, generate_cycle_corpus, generate_hotnode_corpus
-from .tokens import TokenDims, TokenSequence, tokenize_il, tokenize_ml, tokenize_sl
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from math import sqrt
 import numpy as np
 
 __all__ = [
-    "assert_finite",
     "sigmoid",
     "masked_softmax",
     "masked_softmax_backward",
@@ -39,12 +38,6 @@ __all__ = [
 ]
 
 LN_EPS = 1e-5
-
-
-def assert_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {name}")
-    return arr
 
 
 def sigmoid(x):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, TraceSpec, config_hash, load_config
+from .errors import CheckFailure, ConfigError, DataError
 from .events import DatasetManifest, ingest_events, write_events
 from .harness import (
     ablate,
@@ -197,7 +198,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DataError, ConfigError, ValueError, CheckFailure) as exc:
+        # bad input or a failed self-check: one line and argparse's usage
+        # exit code, not a traceback
+        print(f"tidegraph {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,10 +36,8 @@ __all__ = [
     "ReconstructedSequence",
     "bie_reconstruct",
     "bie_counts",
-    "bie_embed",
     "SeasonTrend",
     "ste_decompose",
-    "build_ste_signal",
 ]
 
 # Calendar divisors in seconds. Weekly is hours*days*sec; the monthly and
@@ -50,6 +48,10 @@ GRANULARITY_SECONDS = {
     "monthly": 24 * 7 * 30 * 3600,
     "yearly": 24 * 7 * 365 * 3600,
 }
+
+# Largest residual delta_t_max * alpha**(-(d_t-1)/beta) that validate_decay
+# accepts as "the slowest frequency has died out".
+DECAY_TOL = 1e-6
 
 
 @dataclass
@@ -68,7 +70,6 @@ class MteConfig:
     granularity: str = "weekly"
     r_segments: int = 1
     combine: str = "sum"
-    decay_tol: float = 1e-6
     divisor_override: float | None = None
 
     def __post_init__(self):
@@ -107,11 +108,11 @@ class MteConfig:
     def validate_decay(self, delta_t_max: float) -> None:
         """Reject configs whose slowest frequency has not decayed at delta_t_max."""
         residual = delta_t_max * float(self.alpha) ** (-(self.d_t - 1) / self.beta)
-        if residual > self.decay_tol:
-            needed = (delta_t_max / self.decay_tol) ** (self.beta / (self.d_t - 1)) if self.d_t > 1 else np.inf
+        if residual > DECAY_TOL:
+            needed = (delta_t_max / DECAY_TOL) ** (self.beta / (self.d_t - 1)) if self.d_t > 1 else np.inf
             raise ConfigError(
                 f"time-encoder decay condition violated: delta_t_max * alpha**(-(d_t-1)/beta) "
-                f"= {residual:.3e} > {self.decay_tol:.1e}; raise alpha above {needed:.3f} "
+                f"= {residual:.3e} > {DECAY_TOL:.1e}; raise alpha above {needed:.3f} "
                 f"or lower beta"
             )
 
@@ -170,12 +171,6 @@ class ReconstructedSequence:
     base: NeighborSequence
     replacements: dict[int, np.ndarray]
     _multiset: Counter | None = field(default=None, repr=False, compare=False)
-
-    def token_ids(self, k: int):
-        """Id (or replacement ids) occupying slot k."""
-        if k in self.replacements:
-            return self.replacements[k]
-        return int(self.base.ids[k])
 
     def id_multiset(self) -> Counter:
         """Merged non-PAD id multiset of the reconstructed window (cached)."""
@@ -270,12 +265,6 @@ def bie_counts(
     return i_src, i_tgt
 
 
-def bie_embed(counts: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Row-wise two-layer perceptron lifting count pairs to d_b features."""
-    hidden = np.maximum(counts.astype(np.float64) @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
-
-
 @dataclass
 class SeasonTrend:
     """Season/trend split of a window signal.
@@ -312,10 +301,3 @@ def ste_decompose(q: np.ndarray, window: int) -> SeasonTrend:
     trend = windows.mean(axis=-1)
     return SeasonTrend(trend=trend, seasonal=q - trend, window=window)
 
-
-def build_ste_signal(seq: NeighborSequence, num_nodes: int) -> np.ndarray:
-    """Normalized neighbor-index signal, shape (n, 1); PAD slots are zero."""
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be positive")
-    sig = np.where(seq.ids == PAD_ID, 0.0, seq.ids / float(num_nodes))
-    return sig[:, None]

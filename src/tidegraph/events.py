@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ParseError, SchemaError, SplitError, ValidationError
 
 __all__ = [
-    "GraphEvent",
     "EventStore",
     "DatasetManifest",
     "SplitSpec",
@@ -33,18 +32,6 @@ __all__ = [
     "chronological_split",
     "inductive_mask",
 ]
-
-
-@dataclass(frozen=True)
-class GraphEvent:
-    """One timestamped interaction, the atom of the event stream."""
-
-    event_id: int
-    src: int
-    tgt: int
-    timestamp: float
-    edge_features: np.ndarray
-    label: float | None = None
 
 
 @dataclass
@@ -74,8 +61,9 @@ class DatasetManifest:
 class EventStore:
     """Immutable, chronologically ordered interaction store.
 
-    Column arrays are the primary representation; :meth:`event` materializes
-    a :class:`GraphEvent` view on demand.
+    Events are held as column arrays (``src``, ``tgt``, ``timestamps``,
+    ``edge_features``, ``labels``), indexed by event id; a missing label is
+    NaN.
     """
 
     def __init__(
@@ -154,20 +142,6 @@ class EventStore:
 
     def __len__(self) -> int:
         return self.num_events
-
-    def event(self, i: int) -> GraphEvent:
-        label = self.labels[i]
-        return GraphEvent(
-            event_id=i,
-            src=int(self.src[i]),
-            tgt=int(self.tgt[i]),
-            timestamp=float(self.timestamps[i]),
-            edge_features=self.edge_features[i].copy(),
-            label=None if np.isnan(label) else float(label),
-        )
-
-    def __iter__(self):
-        return (self.event(i) for i in range(self.num_events))
 
     def node_ids(self) -> np.ndarray:
         """Distinct node ids that actually occur in the stream."""

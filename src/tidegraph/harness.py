@@ -99,7 +99,7 @@ def sample_pair_windows(sampler: NeighborSampler, pairs, cfg: ModelConfig, rng=N
         seq_pairs.append((src_seq, tgt_seq))
         src_index[s] = src_seq
         tgt_index[t] = tgt_seq
-    return seq_pairs, BatchNeighborIndex(src_index, tgt_index, len(pairs))
+    return seq_pairs, BatchNeighborIndex(src_index, tgt_index)
 
 
 def build_scoring_batch(sampler, store, cfg, pos_pairs, neg_tgts, rng=None):

@@ -1,7 +1,7 @@
 """The interaction-level link predictor: parameters, forward, and gradients.
 
 The model encodes the two neighbor windows of a candidate pair into token
-sequences (see :mod:`tidegraph.tokens`), projects them to the transformer
+sequences (see :func:`featurize_pairs`), projects them to the transformer
 width, runs a small masked-attention stack, mean-pools valid rows into node
 embeddings, and scores the pair with a two-layer head. Backward passes are
 hand-derived and accumulate into gradient buffers shaped like the parameters,
@@ -17,10 +17,9 @@ import json
 import numpy as np
 
 from . import attention as nn
-from .encoders import MteConfig, bie_counts, bie_reconstruct, build_ste_signal, encode_coarse_time, encode_fine_time, mix_temporal, ste_decompose
+from .encoders import MteConfig, bie_counts, bie_reconstruct, encode_coarse_time, encode_fine_time, mix_temporal, ste_decompose
 from .errors import CheckFailure, ConfigError
 from .sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
-from .tokens import TokenDims, initial_feature_block
 
 __all__ = [
     "ModelConfig",
@@ -32,15 +31,13 @@ __all__ = [
     "loss_and_grads",
     "batch_loss",
     "predict_probs",
-    "link_head",
-    "node_state_prob",
     "grad_check",
     "attention_weights",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # K in grad_check's roundoff allowance K * eps_mach * |L| / epsilon.
 ROUNDOFF_FACTOR = 4.0
 
@@ -67,7 +64,6 @@ class ModelConfig:
     use_bie: bool = True
     use_ste: bool = True
     d_b: int = 50
-    bie_hidden: int | None = None
     d_s: int = 50
     d_tr: int = 50
     ste_window: int = 3
@@ -86,8 +82,6 @@ class ModelConfig:
         for name in ("n_neighbors", "hidden", "layers", "heads", "d_b", "d_s", "d_tr"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.bie_hidden is None:
-            self.bie_hidden = self.d_b
 
     @property
     def d_head(self) -> int:
@@ -116,14 +110,6 @@ class ModelConfig:
         if self.ste_active:
             w += self.d_s + self.d_tr
         return w
-
-    def token_dims(self, d_n: int, d_e: int) -> TokenDims:
-        return TokenDims(
-            d_n=d_n, d_e=d_e, d_t=self.mte.d_t,
-            d_b=self.d_b if self.bie_active else 0,
-            d_s=self.d_s if self.ste_active else 0,
-            d_tr=self.d_tr if self.ste_active else 0,
-        )
 
     def variant(self, **changes) -> "ModelConfig":
         return replace(self, **changes)
@@ -164,10 +150,9 @@ class ModelParameters:
             vals[p + "ln2_g"] = np.ones(h)
             vals[p + "ln2_b"] = np.zeros(h)
         if cfg.bie_active:
-            hb = cfg.bie_hidden
-            vals["bie.w1"] = _glorot(rng, (2, hb), 2, hb)
-            vals["bie.b1"] = np.zeros(hb)
-            vals["bie.w2"] = _glorot(rng, (hb, cfg.d_b), hb, cfg.d_b)
+            vals["bie.w1"] = _glorot(rng, (2, cfg.d_b), 2, cfg.d_b)
+            vals["bie.b1"] = np.zeros(cfg.d_b)
+            vals["bie.w2"] = _glorot(rng, (cfg.d_b, cfg.d_b), cfg.d_b, cfg.d_b)
             vals["bie.b2"] = np.zeros(cfg.d_b)
         if cfg.ste_active:
             vals["ste.ws"] = _glorot(rng, (1, cfg.d_s), 1, cfg.d_s)
@@ -178,10 +163,6 @@ class ModelParameters:
         vals["link.b1"] = np.zeros(h)
         vals["link.w2"] = _glorot(rng, (h, 1), h, 1)
         vals["link.b2"] = np.zeros(1)
-        vals["node.w1"] = _glorot(rng, (h, h), h, h)
-        vals["node.b1"] = np.zeros(h)
-        vals["node.w2"] = _glorot(rng, (h, 1), h, 1)
-        vals["node.b2"] = np.zeros(1)
 
         self.values = vals
         self.grads = {k: np.zeros_like(v) for k, v in vals.items()}
@@ -230,13 +211,37 @@ class PairBatch:
     num_pairs: int
 
 
+def initial_feature_block(seq: NeighborSequence, node_features: np.ndarray | None = None) -> np.ndarray:
+    """Raw ``[node-features || edge-features]`` block; PAD rows stay zero."""
+    parts = []
+    if node_features is not None and node_features.shape[1]:
+        block = np.zeros((seq.n, node_features.shape[1]))
+        real = seq.ids != PAD_ID
+        block[real] = node_features[seq.ids[real]]
+        parts.append(block)
+    parts.append(seq.edge_feats)
+    return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+
+
 def featurize_pairs(
     seq_pairs: list[tuple[NeighborSequence, NeighborSequence]],
     index: BatchNeighborIndex,
     store,
     cfg: ModelConfig,
 ) -> PairBatch:
-    """Run the fixed encoders over sampled window pairs."""
+    """Run the fixed encoders over sampled window pairs.
+
+    A token is the raw feature block (neighbor node features plus edge
+    features) followed by layout-specific context columns, which
+    :func:`_assemble_tokens` concatenates in this order:
+
+    * ``sl`` - one window per node, tokens ``[features || fine-time]``;
+    * ``ml`` - the source and target windows of a pair stacked into one 2n
+      sequence of ``sl`` tokens, source block first (done in
+      :func:`forward_batch`);
+    * ``il`` - one window per node, tokens ``[features || mixed-time ||
+      interaction-counts embedding || season embedding || trend embedding]``.
+    """
     p = len(seq_pairs)
     if p == 0:
         raise ValueError("empty batch")
@@ -457,25 +462,6 @@ def predict_probs(params, cfg, batch) -> np.ndarray:
     return probs
 
 
-def link_head(params: ModelParameters, src_emb: np.ndarray, tgt_emb: np.ndarray) -> np.ndarray:
-    """Pair probability from two node embeddings (two-layer head + sigmoid)."""
-    pair = np.concatenate([np.atleast_2d(src_emb), np.atleast_2d(tgt_emb)], axis=-1)
-    logit, _ = nn.mlp2_forward(
-        pair, params.values["link.w1"], params.values["link.b1"],
-        params.values["link.w2"], params.values["link.b2"],
-    )
-    return nn.sigmoid(logit[:, 0])
-
-
-def node_state_prob(params: ModelParameters, emb: np.ndarray) -> np.ndarray:
-    """State probability for node embeddings (the classification head)."""
-    logit, _ = nn.mlp2_forward(
-        np.atleast_2d(emb), params.values["node.w1"], params.values["node.b1"],
-        params.values["node.w2"], params.values["node.b2"],
-    )
-    return nn.sigmoid(logit[:, 0])
-
-
 def attention_weights(cache, layer: int = -1) -> np.ndarray:
     """Per-head attention stack (J, B, L, L) captured by a forward pass."""
     return cache["layers"][layer]["msa"]["attn"]
@@ -578,7 +564,10 @@ def load_checkpoint(path) -> dict:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('format_version')}")
+            raise ConfigError(
+                f"unsupported checkpoint format version {meta.get('format_version')} "
+                f"(this version reads {CHECKPOINT_VERSION}); retrain to write a new checkpoint"
+            )
         values = {k[len("param."):]: data[k] for k in data.files if k.startswith("param.")}
         adam_m = {k[len("adam_m."):]: data[k] for k in data.files if k.startswith("adam_m.")}
         adam_v = {k[len("adam_v."):]: data[k] for k in data.files if k.startswith("adam_v.")}

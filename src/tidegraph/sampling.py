@@ -24,9 +24,6 @@ __all__ = [
     "BatchNeighborIndex",
     "NegativeSamplingStrategy",
     "NegativeSampler",
-    "sample_neighbors",
-    "build_batch_index",
-    "sample_negatives",
 ]
 
 PAD_ID = -1
@@ -52,10 +49,6 @@ class NeighborSequence:
     def mask(self) -> np.ndarray:
         """True on real interactions, False on PAD slots."""
         return self.ids != PAD_ID
-
-    @property
-    def num_real(self) -> int:
-        return int(np.count_nonzero(self.ids != PAD_ID))
 
     def id_counts(self) -> Counter:
         """Multiset of non-PAD neighbor ids (cached)."""
@@ -88,10 +81,6 @@ class NeighborSampler:
         self._eids = eids[order]
         counts = np.bincount(self._nodes, minlength=store.num_nodes) if len(nodes) else np.zeros(store.num_nodes, dtype=np.int64)
         self._ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-    def history_size(self, anchor: int, query_time: float) -> int:
-        lo, hi = self._ptr[anchor], self._ptr[anchor + 1]
-        return int(np.searchsorted(self._times[lo:hi], query_time, side="left"))
 
     def sample(
         self,
@@ -144,11 +133,6 @@ class NeighborSampler:
         )
 
 
-def sample_neighbors(store, anchor, query_time, n, strategy="recent", rng=None) -> NeighborSequence:
-    """One-shot convenience wrapper; reuse :class:`NeighborSampler` in loops."""
-    return NeighborSampler(store).sample(anchor, query_time, n, strategy, rng)
-
-
 @dataclass
 class BatchNeighborIndex:
     """Per-batch source/target neighbor dictionaries.
@@ -160,27 +144,6 @@ class BatchNeighborIndex:
 
     src_index: dict[int, NeighborSequence]
     tgt_index: dict[int, NeighborSequence]
-    m: int
-
-
-def build_batch_index(
-    sampler: NeighborSampler | EventStore,
-    batch,
-    n: int,
-    strategy: str = "recent",
-    rng: np.random.Generator | None = None,
-) -> BatchNeighborIndex:
-    """Sample and key the source/target sequences of one batch of pairs."""
-    if isinstance(sampler, EventStore):
-        sampler = NeighborSampler(sampler)
-    src_index: dict[int, NeighborSequence] = {}
-    tgt_index: dict[int, NeighborSequence] = {}
-    m = 0
-    for src, tgt, t in batch:
-        src_index[int(src)] = sampler.sample(int(src), float(t), n, strategy, rng)
-        tgt_index[int(tgt)] = sampler.sample(int(tgt), float(t), n, strategy, rng)
-        m += 1
-    return BatchNeighborIndex(src_index=src_index, tgt_index=tgt_index, m=m)
 
 
 @dataclass(frozen=True)
@@ -290,12 +253,3 @@ class NegativeSampler:
                 self.fallback_count += 1
         return neg, fell_back
 
-
-def sample_negatives(
-    store: EventStore,
-    positives,
-    strategy: NegativeSamplingStrategy,
-    train_range: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot wrapper around :class:`NegativeSampler`."""
-    return NegativeSampler(store, strategy, train_range).sample(positives)

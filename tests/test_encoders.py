@@ -5,19 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from tidegraph.attention import mlp2_forward
 from tidegraph.encoders import (
     GRANULARITY_SECONDS,
     MteConfig,
     bie_counts,
-    bie_embed,
     bie_reconstruct,
-    build_ste_signal,
     encode_coarse_time,
     encode_fine_time,
     mix_temporal,
     ste_decompose,
 )
 from tidegraph.errors import ConfigError, LeakageError
+from tidegraph.events import EventStore
+from tidegraph.model import ModelConfig, featurize_pairs
 from tidegraph.sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
 
 
@@ -153,7 +154,6 @@ def _worked_example():
     index = BatchNeighborIndex(
         src_index={1: make_seq(1, [11, 13], n=4)},
         tgt_index={12: make_seq(12, [2, 4], n=4)},
-        m=2,
     )
     return src_seq, tgt_seq, index
 
@@ -164,8 +164,9 @@ class TestReconstruction:
         src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, index)
         assert set(src_new.replacements) == {2}
         np.testing.assert_array_equal(src_new.replacements[2], [2, 4])
-        assert src_new.token_ids(0) == 10 and src_new.token_ids(3) == 10
-        assert src_new.token_ids(1) == 11
+        # unreplaced slots keep their own id: the anchor 10 (slots 0 and 3)
+        # and 11, which misses the target dictionary
+        np.testing.assert_array_equal(src_new.base.ids, [10, 11, 12, 10])
         assert set(tgt_new.replacements) == {1}
         np.testing.assert_array_equal(tgt_new.replacements[1], [11, 13])
 
@@ -177,7 +178,7 @@ class TestReconstruction:
 
     def test_empty_index_changes_nothing(self):
         src_seq, tgt_seq, _ = _worked_example()
-        empty = BatchNeighborIndex(src_index={}, tgt_index={}, m=0)
+        empty = BatchNeighborIndex(src_index={}, tgt_index={})
         src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, empty)
         assert src_new.replacements == {} and tgt_new.replacements == {}
 
@@ -188,7 +189,6 @@ class TestReconstruction:
         index = BatchNeighborIndex(
             src_index={5: make_seq(5, [8], n=3), 6: make_seq(6, [9], n=3)},
             tgt_index={7: make_seq(7, [3], n=3)},
-            m=2,
         )
         src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, index)
         assert src_new.replacements == {} and tgt_new.replacements == {}
@@ -196,7 +196,7 @@ class TestReconstruction:
     def test_all_pad_windows_zero_counts(self):
         src_seq = make_seq(0, [], n=4)
         tgt_seq = make_seq(10, [], n=4)
-        empty = BatchNeighborIndex(src_index={}, tgt_index={}, m=0)
+        empty = BatchNeighborIndex(src_index={}, tgt_index={})
         i_src, i_tgt = bie_counts(*bie_reconstruct(src_seq, tgt_seq, empty))
         np.testing.assert_array_equal(i_src, np.zeros((4, 2)))
         np.testing.assert_array_equal(i_tgt, np.zeros((4, 2)))
@@ -267,7 +267,7 @@ class TestCountsOracle:
             for node in rng.choice(tgt_pool, size=3):
                 depth = int(rng.integers(0, n + 1))
                 tgt_index[int(node)] = make_seq(int(node), rng.choice(src_pool, size=depth).tolist(), n=n)
-            index = BatchNeighborIndex(src_index, tgt_index, m=3)
+            index = BatchNeighborIndex(src_index, tgt_index)
 
             got = bie_counts(*bie_reconstruct(src_seq, tgt_seq, index))
             want = brute_force_counts(src_seq, tgt_seq, index)
@@ -278,13 +278,13 @@ class TestCountsOracle:
 class TestCountEmbedding:
     def test_zero_counts_zero_bias_zero_rows(self):
         counts = np.zeros((3, 2))
-        out = bie_embed(counts, np.ones((2, 4)), np.zeros(4), np.ones((4, 5)), np.zeros(5))
+        out, _ = mlp2_forward(counts, np.ones((2, 4)), np.zeros(4), np.ones((4, 5)), np.zeros(5))
         np.testing.assert_array_equal(out, np.zeros((3, 5)))
 
     def test_rectifier_passes_positive(self):
         counts = np.array([[1.0, 2.0]])
         w1 = np.eye(2)
-        out = bie_embed(counts, w1, np.zeros(2), np.eye(2), np.zeros(2))
+        out, _ = mlp2_forward(counts, w1, np.zeros(2), np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out, counts)
 
     def test_matches_hand_composition(self):
@@ -294,8 +294,21 @@ class TestCountEmbedding:
         counts = np.array([[2.0, 2.0]])
         hidden = np.maximum(counts @ w1 + b1, 0.0)
         np.testing.assert_allclose(
-            bie_embed(counts, w1, b1, w2, b2), hidden @ w2 + b2, atol=1e-15
+            mlp2_forward(counts, w1, b1, w2, b2)[0], hidden @ w2 + b2, atol=1e-15
         )
+
+
+def ste_signal(seq, num_nodes):
+    """The normalized neighbor-index signal that featurize_pairs decomposes.
+
+    With a window of one the moving average is the signal itself, so the
+    trend block is the signal and the seasonal block is zero.
+    """
+    store = EventStore([0], [1], [1.0], num_nodes=num_nodes)
+    cfg = ModelConfig(n_neighbors=seq.n, time_mode="none", use_bie=False, ste_window=1)
+    batch = featurize_pairs([(seq, seq)], BatchNeighborIndex({}, {}), store, cfg)
+    np.testing.assert_array_equal(batch.season, np.zeros_like(batch.season))
+    return batch.trend[0]
 
 
 class TestSeasonTrend:
@@ -341,16 +354,16 @@ class TestSeasonTrend:
 
     def test_signal_from_window(self):
         seq = make_seq(0, [3, 7, 7], n=4)
-        sig = build_ste_signal(seq, num_nodes=10)
+        sig = ste_signal(seq, num_nodes=10)
         np.testing.assert_allclose(sig[:, 0], [0.0, 0.3, 0.7, 0.7])
 
     def test_signal_all_pad(self):
         seq = make_seq(0, [], n=3)
-        np.testing.assert_array_equal(build_ste_signal(seq, 10), np.zeros((3, 1)))
+        np.testing.assert_array_equal(ste_signal(seq, 10), np.zeros((3, 1)))
 
     def test_signal_range_endpoints(self):
         seq = make_seq(0, [0, 9], n=2)
-        np.testing.assert_allclose(build_ste_signal(seq, 10)[:, 0], [0.0, 0.9])
+        np.testing.assert_allclose(ste_signal(seq, 10)[:, 0], [0.0, 0.9])
 
 
 class TestMteConfigValidation:

@@ -82,8 +82,8 @@ class TestIngest:
     def test_label_column_optional_and_sparse(self, tmp_path):
         path = _write(tmp_path, "src,tgt,ts,label,f0\n0,1,1,1,0.5\n0,2,2,,0.25\n")
         store = ingest_events(path)
-        assert store.event(0).label == 1.0
-        assert store.event(1).label is None
+        assert store.labels[0] == 1.0
+        assert np.isnan(store.labels[1])
 
     def test_manifest_controls_universe(self, tmp_path):
         path = _write(tmp_path, "src,tgt,ts\n0,5,1\n")

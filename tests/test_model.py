@@ -1,13 +1,16 @@
 """End-to-end model: widths, gradients, determinism, capacity, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 import tidegraph.model
 from tidegraph.cli import main
+from tidegraph.config import RunConfig, TrainConfig
 from tidegraph.encoders import MteConfig
 from tidegraph.errors import CheckFailure, ConfigError
-from tidegraph.harness import build_scoring_batch, gradcheck_fixture, sample_pair_windows
+from tidegraph.harness import build_scoring_batch, gradcheck_fixture, sample_pair_windows, train, variant_config
 from tidegraph.model import (
     ModelConfig,
     ModelParameters,
@@ -15,10 +18,8 @@ from tidegraph.model import (
     featurize_pairs,
     forward_batch,
     grad_check,
-    link_head,
     load_checkpoint,
     loss_and_grads,
-    node_state_prob,
     save_checkpoint,
 )
 from tidegraph.optim import AdamState, adam_step
@@ -89,7 +90,7 @@ class TestForward:
         sampler = NeighborSampler(store)
         pairs = [(0, 6, 0.5)]  # before any event
         seq_pairs, index = sample_pair_windows(sampler, pairs, cfg)
-        assert seq_pairs[0][0].num_real == 0
+        assert not seq_pairs[0][0].mask.any()
         batch = featurize_pairs(seq_pairs, index, store, cfg)
         params = ModelParameters(cfg, store.d_n, store.d_e, seed=0)
         probs, _ = forward_batch(params, cfg, batch)
@@ -114,18 +115,25 @@ class TestForward:
         e2, _ = forward_batch(params, cfg, batch)
         np.testing.assert_array_equal(e1, e2)
 
-    def test_heads_interface(self):
-        cfg = small_cfg()
-        store, batch, labels = tiny_batch(cfg)
-        params = ModelParameters(cfg, store.d_n, store.d_e, seed=0)
-        emb = np.random.default_rng(0).normal(size=(5, cfg.hidden))
-        p_link = link_head(params, emb, emb)
-        p_node = node_state_prob(params, emb)
-        assert p_link.shape == (5,) and np.all((p_link > 0) & (p_link < 1))
-        assert p_node.shape == (5,) and np.all((p_node > 0) & (p_node < 1))
-
 
 class TestGradients:
+    @pytest.mark.parametrize("layout,variant", [
+        ("il", "full"), ("sl", "full"), ("ml", "full"),
+        ("il", "-bie"), ("il", "-ste"), ("il", "-mte"),
+    ])
+    def test_every_parameter_is_trained(self, layout, variant):
+        # a tensor that no gradient reaches would be allocated, decayed and
+        # checkpointed for nothing. The counts are non-negative and bie.b1
+        # starts at zero, so a count-lift unit whose two weights are both
+        # negative is dead at init (chance 1/4 per unit); d_b = 16 keeps an
+        # all-dead lift, which would read as an unreachable tensor, out of reach
+        cfg = variant_config(small_cfg(d_b=16), layout, variant)
+        store, batch, labels = tiny_batch(cfg)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        loss_and_grads(params, cfg, batch, labels)
+        untrained = [k for k, g in params.grads.items() if not np.any(g)]
+        assert untrained == []
+
     def test_gradcheck_small_models_all_layouts(self):
         for layout in ("il", "sl", "ml"):
             cfg = small_cfg(layout=layout)
@@ -174,8 +182,9 @@ class TestGradients:
         cfg = small_cfg(mte=MteConfig(d_t=6, alpha=26.0, beta=10.0, combine="concat"))
         store, batch, labels = tiny_batch(cfg)
         params = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        # every scalar, so that the corrupted tensor is always among them
         err = grad_check(params, cfg, batch, labels, epsilon=1e-5,
-                         num_checks=150, rng=np.random.default_rng(0))
+                         num_checks=params.num_scalars, rng=np.random.default_rng(0))
         assert err > 1e-4
 
     def test_gradcheck_rejects_nan_gradient(self, monkeypatch):
@@ -265,6 +274,26 @@ class TestTrainingDynamics:
 
         assert run() == run()
 
+    def test_train_artifacts_replay_bitwise(self, tmp_path):
+        # the run log and the checkpoint are deterministic functions of
+        # (data, config, seed), which is what lets a refactor be checked
+        # against the parent commit byte for byte
+        store, _ = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)
+        run_cfg = RunConfig(
+            model=small_cfg(dropout=0.2, mte=MteConfig(d_t=100, alpha=26.0, beta=10.0)),
+            train=TrainConfig(lr=1e-3, epochs=2, batch_size=40, seed=3),
+            nss="historical",
+        )
+        for out in ("a", "b"):
+            train(store, run_cfg, out_dir=tmp_path / out)
+        log_a = (tmp_path / "a" / "run.jsonl").read_bytes()
+        assert log_a == (tmp_path / "b" / "run.jsonl").read_bytes()
+        assert len(log_a.splitlines()) == 3
+        with np.load(tmp_path / "a" / "checkpoint.npz") as a, np.load(tmp_path / "b" / "checkpoint.npz") as b:
+            assert sorted(a.files) == sorted(b.files)
+            for k in a.files:
+                assert a[k].tobytes() == b[k].tobytes(), k
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -282,3 +311,14 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded["values"][k], v)
         for k, v in state.m.items():
             np.testing.assert_array_equal(loaded["adam"]["m"][k], v)
+
+    def test_version_1_rejected(self, tmp_path):
+        # version 1 also stored tensors that version 2 no longer allocates;
+        # such a file is refused by its version, not by a later KeyError
+        params, _, _, _ = gradcheck_fixture()
+        payload = {f"param.{k}": v for k, v in params.values.items()}
+        payload["meta"] = np.array(json.dumps({"format_version": 1, "config_hash": ""}))
+        path = tmp_path / "v1.npz"
+        np.savez(path, **payload)
+        with pytest.raises(ConfigError, match="version 1"):
+            load_checkpoint(path)

@@ -5,20 +5,32 @@ import pytest
 
 from tidegraph.errors import LeakageError
 from tidegraph.events import EventStore
+from tidegraph.harness import sample_pair_windows
+from tidegraph.model import ModelConfig
 from tidegraph.sampling import (
     PAD_ID,
     NegativeSampler,
     NegativeSamplingStrategy,
     NeighborSampler,
-    build_batch_index,
-    sample_negatives,
-    sample_neighbors,
 )
 
 
 def _store_from_rows(rows, **kw):
     src, tgt, ts = zip(*rows)
     return EventStore(src, tgt, ts, np.zeros((len(rows), 2)), **kw)
+
+
+def _window(store, anchor, query_time, n, strategy="recent", rng=None):
+    return NeighborSampler(store).sample(anchor, query_time, n, strategy, rng)
+
+
+def _batch_index(store, pairs, n):
+    _, index = sample_pair_windows(NeighborSampler(store), pairs, ModelConfig(n_neighbors=n))
+    return index
+
+
+def _negatives(store, positives, strategy, train_range=None):
+    return NegativeSampler(store, strategy, train_range).sample(positives)
 
 
 def _brute_history(store, anchor, query_time):
@@ -39,7 +51,7 @@ def _brute_history(store, anchor, query_time):
 class TestNeighborWindows:
     def test_underfull_window_left_pads(self):
         store = _store_from_rows([(0, 5, 1.0), (0, 6, 2.0), (1, 7, 3.0)])
-        seq = sample_neighbors(store, 0, 10.0, n=4)
+        seq = _window(store, 0, 10.0, n=4)
         np.testing.assert_array_equal(seq.ids, [PAD_ID, PAD_ID, 5, 6])
         np.testing.assert_array_equal(seq.times, [10.0, 10.0, 1.0, 2.0])
         np.testing.assert_array_equal(seq.mask, [False, False, True, True])
@@ -47,14 +59,14 @@ class TestNeighborWindows:
 
     def test_no_history_all_pad(self):
         store = _store_from_rows([(0, 5, 1.0)])
-        seq = sample_neighbors(store, 3, 10.0, n=4)
-        assert seq.num_real == 0
+        seq = _window(store, 3, 10.0, n=4)
+        assert int(seq.mask.sum()) == 0
         np.testing.assert_array_equal(seq.ids, [PAD_ID] * 4)
 
     def test_recent_takes_latest_before_query(self):
         rows = [(0, 10 + k, float(k)) for k in range(6)]
         store = _store_from_rows(rows)
-        seq = sample_neighbors(store, 0, 4.5, n=4)
+        seq = _window(store, 0, 4.5, n=4)
         # history before 4.5 is t=0..4; the 4 latest are t=1..4
         expected = [(t, p) for t, p, _ in _brute_history(store, 0, 4.5)][-4:]
         np.testing.assert_array_equal(seq.times, [t for t, _ in expected])
@@ -62,8 +74,8 @@ class TestNeighborWindows:
 
     def test_strictly_before_query_time(self):
         store = _store_from_rows([(0, 5, 2.0), (0, 6, 2.0)])
-        seq = sample_neighbors(store, 0, 2.0, n=4)
-        assert seq.num_real == 0
+        seq = _window(store, 0, 2.0, n=4)
+        assert int(seq.mask.sum()) == 0
 
     def test_recent_is_history_suffix_randomized(self):
         rng = np.random.default_rng(0)
@@ -78,7 +90,7 @@ class TestNeighborWindows:
             seq = sampler.sample(anchor, q, n)
             hist = _brute_history(store, anchor, q)
             suffix = hist[-min(n, len(hist)) :] if hist else []
-            real = seq.num_real
+            real = int(seq.mask.sum())
             assert real == min(n, len(hist))
             np.testing.assert_array_equal(seq.ids[n - real :], [p for _, p, _ in suffix])
             np.testing.assert_array_equal(seq.event_ids[n - real :], [e for _, _, e in suffix])
@@ -101,8 +113,8 @@ class TestNeighborWindows:
 
     def test_uniform_underfull_takes_everything(self):
         store = _store_from_rows([(0, 5, 1.0), (0, 6, 2.0)])
-        seq = sample_neighbors(store, 0, 9.0, n=5, strategy="uniform", rng=np.random.default_rng(0))
-        assert seq.num_real == 2
+        seq = _window(store, 0, 9.0, n=5, strategy="uniform", rng=np.random.default_rng(0))
+        assert int(seq.mask.sum()) == 2
 
     def test_leakage_guard(self):
         store = _store_from_rows([(0, 5, 1.0), (0, 6, 2.0)])
@@ -116,24 +128,22 @@ class TestNeighborWindows:
 class TestBatchIndex:
     def test_single_pair(self):
         store = _store_from_rows([(0, 5, 1.0), (1, 6, 2.0)])
-        index = build_batch_index(store, [(0, 5, 3.0)], n=4)
+        index = _batch_index(store, [(0, 5, 3.0)], n=4)
         assert set(index.src_index) == {0}
         assert set(index.tgt_index) == {5}
-        assert index.m == 1
 
     def test_duplicate_src_last_wins(self):
         store = _store_from_rows([(0, 5, 1.0), (0, 6, 2.0), (0, 7, 3.0)])
-        index = build_batch_index(store, [(0, 5, 2.5), (0, 6, 3.5)], n=4)
+        index = _batch_index(store, [(0, 5, 2.5), (0, 6, 3.5)], n=4)
         assert list(index.src_index) == [0]
         # the surviving window was sampled at the later query time
         assert index.src_index[0].query_time == 3.5
-        assert index.m == 2
 
     def test_default_batch_size_distinct_keys(self):
         rows = [(i, 200 + i, float(i)) for i in range(200)]
         store = _store_from_rows(rows)
         batch = [(i, 200 + i, 300.0) for i in range(200)]
-        index = build_batch_index(store, batch, n=2)
+        index = _batch_index(store, batch, n=2)
         assert len(index.src_index) == 200
         assert len(index.tgt_index) == 200
 
@@ -143,7 +153,7 @@ class TestNegativeSampling:
         store = _store_from_rows([(0, 10, 1.0), (1, 11, 2.0)])
         strat = NegativeSamplingStrategy("random", seed=0)
         for trial in range(20):
-            neg, fell = sample_negatives(store, [(0, 10, 3.0)], strat)
+            neg, fell = _negatives(store, [(0, 10, 3.0)], strat)
             assert neg[0] == 11
             assert not fell[0]
 
@@ -151,7 +161,7 @@ class TestNegativeSampling:
         store = _store_from_rows([(0, 10, 1.0), (1, 11, 2.0)])
         strat = NegativeSamplingStrategy("historical", seed=0)
         # src 2 has no history at all -> random fallback
-        neg, fell = sample_negatives(store, [(2, 10, 3.0)], strat, train_range=(0, 2))
+        neg, fell = _negatives(store, [(2, 10, 3.0)], strat, train_range=(0, 2))
         assert fell[0]
         assert neg[0] in (11,)  # only non-positive target
 
@@ -182,7 +192,7 @@ class TestNegativeSampling:
         store = _store_from_rows(rows)
         strat = NegativeSamplingStrategy("historical", seed=9)
         positives = [(0, 12, 5.0)] * 50
-        neg, fell = sample_negatives(store, positives, strat, train_range=(0, 4))
+        neg, fell = _negatives(store, positives, strat, train_range=(0, 4))
         assert not fell.any()
         assert set(neg) <= {10, 11}
 
@@ -214,6 +224,6 @@ class TestNegativeSampling:
     def test_random_excludes_only_paired_positive(self):
         store = _store_from_rows([(0, 10, 1.0), (0, 11, 2.0), (0, 12, 3.0)])
         strat = NegativeSamplingStrategy("random", seed=1)
-        neg, _ = sample_negatives(store, [(0, 11, 4.0)] * 200, strat)
+        neg, _ = _negatives(store, [(0, 11, 4.0)] * 200, strat)
         assert 11 not in set(neg)
         assert set(neg) == {10, 12}

@@ -1,20 +1,32 @@
-"""Token assembly widths, slicing, and masks for the three layouts."""
+"""Token assembly widths, slicing, and masks for the three layouts.
+
+Tokens are built by one path: ``featurize_pairs`` runs the fixed encoders,
+``_assemble_tokens`` concatenates their blocks, and ``forward_batch`` stacks
+the two windows of a pair for the ``ml`` layout.
+"""
 
 import numpy as np
 import pytest
 
-from tidegraph.encoders import MteConfig, encode_fine_time
-from tidegraph.sampling import PAD_ID, NeighborSequence
-from tidegraph.tokens import (
-    TokenDims,
-    initial_feature_block,
-    tokenize_il,
-    tokenize_ml,
-    tokenize_sl,
+from tidegraph import attention as nn
+from tidegraph.encoders import MteConfig
+from tidegraph.errors import CheckFailure
+from tidegraph.events import EventStore
+from tidegraph.harness import gradcheck_fixture
+from tidegraph.model import (
+    ModelConfig,
+    ModelParameters,
+    PairBatch,
+    _assemble_tokens,
+    featurize_pairs,
+    forward_batch,
 )
+from tidegraph.sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
+
+NO_INDEX = BatchNeighborIndex(src_index={}, tgt_index={})
 
 
-def _seq(ids, d_e=4, query_time=100.0):
+def _seq(ids, d_e=4, query_time=100.0, anchor=0):
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     real = ids != PAD_ID
@@ -23,134 +35,175 @@ def _seq(ids, d_e=4, query_time=100.0):
     if d_e:
         feats[real] = np.arange(real.sum() * d_e).reshape(-1, d_e)
     return NeighborSequence(
-        anchor=0, query_time=query_time, ids=ids, times=times,
+        anchor=anchor, query_time=query_time, ids=ids, times=times,
         edge_feats=feats, event_ids=np.where(real, np.arange(n), -1),
     )
+
+
+def _store(d_e, num_nodes=10, node_features=None):
+    return EventStore([0], [9], [1.0], np.zeros((1, d_e)), num_nodes=num_nodes, node_features=node_features)
+
+
+def _cfg(**kw):
+    defaults = dict(n_neighbors=4, hidden=4, layers=1, heads=1, dropout=0.0,
+                    d_b=2, d_s=1, d_tr=1, ste_window=1, mte=MteConfig(d_t=3))
+    defaults.update(kw)
+    return ModelConfig(**defaults)
+
+
+def _random_batch(rng, p, n, d, t, counts=True, ste=True):
+    """A PairBatch with arbitrary encoder outputs, for checking assembly alone."""
+    rows = 2 * p
+    return PairBatch(
+        h=rng.normal(size=(rows, n, d)),
+        tmix=rng.normal(size=(rows, n, t)) if t else None,
+        counts=rng.integers(0, 4, size=(rows, n, 2)).astype(float) if counts else None,
+        season=rng.normal(size=(rows, n, 1)) if ste else None,
+        trend=rng.normal(size=(rows, n, 1)) if ste else None,
+        mask=np.ones((rows, n), dtype=bool),
+        token_ids=np.arange(rows * n).reshape(rows, n),
+        num_pairs=p,
+    )
+
+
+def _tokens(cfg, batch, d):
+    params = ModelParameters(cfg, 0, d, seed=0)
+    return _assemble_tokens(params, cfg, batch)
 
 
 class TestInteractionTokens:
     def test_reference_width(self):
         # no node features, 4 edge features, then 100/50/100 context columns
-        n = 4
-        seq = _seq([PAD_ID, 5, 6, 7], d_e=4)
-        h = initial_feature_block(seq)
-        mte = np.zeros((n, 100))
-        bie = np.zeros((n, 50))
-        ste = np.zeros((n, 100))
-        dims = TokenDims(d_n=0, d_e=4, d_t=100, d_b=50, d_s=50, d_tr=50)
-        tokens = tokenize_il(seq, h, mte, bie, ste, dims)
-        assert tokens.tokens.shape == (4, 254)
-        assert dims.il_width() == 254
+        params, cfg, batch, _ = gradcheck_fixture()
+        tokens, _ = _assemble_tokens(params, cfg, batch)
+        assert tokens.shape[-1] == 254
+        assert cfg.token_width(0, 4) == 254
 
     def test_zero_components_zero_tokens(self):
-        seq = _seq([5, 6], d_e=0)
-        dims = TokenDims(d_e=0, d_t=3, d_b=2, d_s=1, d_tr=1)
-        tokens = tokenize_il(seq, np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), dims)
-        np.testing.assert_array_equal(tokens.tokens, np.zeros((2, 7)))
-        assert dims.il_width() == 7
+        # zero encoder outputs through zero-bias projections give zero tokens
+        cfg = _cfg()
+        rng = np.random.default_rng(0)
+        batch = _random_batch(rng, p=1, n=2, d=0, t=3)
+        for block in (batch.tmix, batch.counts, batch.season, batch.trend):
+            block[...] = 0.0
+        tokens, _ = _tokens(cfg, batch, d=0)
+        np.testing.assert_array_equal(tokens, np.zeros((2, 2, 7)))
+        assert cfg.token_width(0, 0) == 7
 
     def test_slices_recover_components(self):
-        rng = np.random.default_rng(0)
-        seq = _seq([PAD_ID, 5, 6, 7], d_e=3)
-        h = rng.normal(size=(4, 3))
-        mte = rng.normal(size=(4, 6))
-        bie = rng.normal(size=(4, 2))
-        ste = rng.normal(size=(4, 4))
-        dims = TokenDims(d_e=3, d_t=6, d_b=2, d_s=2, d_tr=2)
-        t = tokenize_il(seq, h, mte, bie, ste, dims).tokens
-        np.testing.assert_array_equal(t[:, :3], h)
-        np.testing.assert_array_equal(t[:, 3:9], mte)
-        np.testing.assert_array_equal(t[:, 9:11], bie)
-        np.testing.assert_array_equal(t[:, 11:], ste)
+        cfg = _cfg(mte=MteConfig(d_t=6), d_b=2, d_s=2, d_tr=2)
+        batch = _random_batch(np.random.default_rng(0), p=2, n=4, d=3, t=6)
+        params = ModelParameters(cfg, 0, 3, seed=1)
+        v = params.values
+        t, cache = _assemble_tokens(params, cfg, batch)
+        np.testing.assert_array_equal(t[..., :3], batch.h)
+        np.testing.assert_array_equal(t[..., 3:9], batch.tmix)
+        assert cache["slices"] == {"bie": (9, 11), "season": (11, 13), "trend": (13, 15)}
+        bie, _ = nn.mlp2_forward(batch.counts, v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
+        np.testing.assert_array_equal(t[..., 9:11], bie)
+        np.testing.assert_array_equal(t[..., 11:13], batch.season @ v["ste.ws"] + v["ste.bs"])
+        np.testing.assert_array_equal(t[..., 13:], batch.trend @ v["ste.wt"] + v["ste.bt"])
 
     def test_row_mismatch_rejected(self):
-        seq = _seq([5, 6])
+        cfg = _cfg()
+        batch = _random_batch(np.random.default_rng(0), p=1, n=2, d=4, t=3)
+        batch.tmix = np.zeros((2, 3, 3))  # three rows against windows of two
         with pytest.raises(ValueError):
-            tokenize_il(seq, np.zeros((3, 4)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), TokenDims())
+            _tokens(cfg, batch, d=4)
 
     def test_mask_counts_real_slots(self):
+        cfg = _cfg()
         seq = _seq([PAD_ID, PAD_ID, 6, 7])
-        dims = TokenDims(d_e=4, d_t=2, d_b=1, d_s=1, d_tr=1)
-        t = tokenize_il(seq, initial_feature_block(seq), np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((4, 2)), dims)
-        assert t.mask.sum() == 2
-        np.testing.assert_array_equal(t.mask, [False, False, True, True])
+        batch = featurize_pairs([(seq, _seq([5, 6, 7, 8], anchor=9))], NO_INDEX, _store(4), cfg)
+        assert batch.mask[0].sum() == 2
+        np.testing.assert_array_equal(batch.mask[0], [False, False, True, True])
+        tokens, _ = _tokens(cfg, batch, d=4)
+        assert tokens.shape[:2] == batch.mask.shape
 
 
 class TestSingleNodeTokens:
     def test_shape(self):
+        cfg = _cfg(layout="sl", mte=MteConfig(d_t=100))
         seq = _seq([5, 6, 7, 8], d_e=4)
-        fine = np.zeros((4, 100))
-        t = tokenize_sl(seq, initial_feature_block(seq), fine, TokenDims(d_e=4, d_t=100))
-        assert t.tokens.shape == (4, 104)
-        assert t.layout == "sl"
+        batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(4), cfg)
+        tokens, _ = _tokens(cfg, batch, d=4)
+        assert tokens.shape == (2, 4, 104)
+        assert batch.counts is None and batch.season is None
 
     def test_zero_features_zero_offset(self):
         # zero feature block plus cosine of zero offsets: [0...0, 1...1] rows
-        cfg = MteConfig(d_t=5)
-        seq = _seq([5, 6], d_e=3)
-        fine = encode_fine_time(np.zeros(2), cfg)
-        t = tokenize_sl(seq, np.zeros((2, 3)), fine, TokenDims(d_e=3, d_t=5))
-        np.testing.assert_array_equal(t.tokens, np.hstack([np.zeros((2, 3)), np.ones((2, 5))]))
+        cfg = _cfg(layout="sl", mte=MteConfig(d_t=5))
+        seq = _seq([PAD_ID, PAD_ID], d_e=3)
+        batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(3), cfg)
+        tokens, _ = _tokens(cfg, batch, d=3)
+        row = np.hstack([np.zeros((2, 3)), np.ones((2, 5))])
+        np.testing.assert_array_equal(tokens, np.stack([row, row]))
 
     def test_matches_manual_concat(self):
-        rng = np.random.default_rng(1)
-        seq = _seq([5, 6, 7], d_e=2)
-        h = rng.normal(size=(3, 2))
-        fine = rng.normal(size=(3, 4))
-        t = tokenize_sl(seq, h, fine, TokenDims(d_e=2, d_t=4))
-        np.testing.assert_array_equal(t.tokens, np.concatenate([h, fine], axis=1))
+        cfg = _cfg(layout="sl", mte=MteConfig(d_t=4))
+        batch = _random_batch(np.random.default_rng(1), p=1, n=3, d=2, t=4, counts=False, ste=False)
+        tokens, _ = _tokens(cfg, batch, d=2)
+        np.testing.assert_array_equal(tokens, np.concatenate([batch.h, batch.tmix], axis=-1))
 
 
 class TestMixedTokens:
-    def _pair(self, rng):
-        dims = TokenDims(d_e=2, d_t=3)
-        src = tokenize_sl(_seq([5, 6, 7, 8], d_e=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), dims)
-        tgt = tokenize_sl(_seq([1, 2, 3, PAD_ID], d_e=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), dims)
-        return src, tgt
+    def _forward(self, pairs):
+        cfg = _cfg(layout="ml")
+        batch = featurize_pairs(pairs, NO_INDEX, _store(2), cfg)
+        params = ModelParameters(cfg, 0, 2, seed=0)
+        tokens, _ = _assemble_tokens(params, cfg, batch)
+        _, cache = forward_batch(params, cfg, batch)
+        # the projection's cached input is the stacked (P, 2n, width) sequence
+        return batch, tokens, cache["proj_in"], cache["layers"][0]["msa"]["mask"]
 
     def test_block_order(self):
-        rng = np.random.default_rng(2)
-        src, tgt = self._pair(rng)
-        mixed = tokenize_ml(src, tgt)
-        assert mixed.length == 8
-        np.testing.assert_array_equal(mixed.tokens[:4], src.tokens)
-        np.testing.assert_array_equal(mixed.tokens[4:], tgt.tokens)
-        np.testing.assert_array_equal(mixed.mask, np.concatenate([src.mask, tgt.mask]))
+        pairs = [(_seq([5, 6, 7, 8], d_e=2), _seq([1, 2, 3, PAD_ID], d_e=2, anchor=9))]
+        batch, tokens, stacked, mask = self._forward(pairs)
+        assert stacked.shape[1] == 8
+        np.testing.assert_array_equal(stacked[0, :4], tokens[0])
+        np.testing.assert_array_equal(stacked[0, 4:], tokens[1])
+        np.testing.assert_array_equal(mask[0], np.concatenate([batch.mask[0], batch.mask[1]]))
 
     def test_identical_halves(self):
-        rng = np.random.default_rng(3)
-        src, _ = self._pair(rng)
-        mixed = tokenize_ml(src, src)
-        np.testing.assert_array_equal(mixed.tokens[:4], mixed.tokens[4:])
+        seq = _seq([5, 6, 7, 8], d_e=2)
+        _, _, stacked, _ = self._forward([(seq, seq)])
+        np.testing.assert_array_equal(stacked[0, :4], stacked[0, 4:])
 
     def test_width_mismatch_rejected(self):
-        rng = np.random.default_rng(4)
-        src, _ = self._pair(rng)
-        narrow = tokenize_sl(_seq([5], d_e=2), rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), TokenDims(d_e=2, d_t=2))
-        with pytest.raises(ValueError):
-            tokenize_ml(src, narrow)
+        # a time block narrower than the config's d_t fails the width check
+        cfg = _cfg(layout="ml", mte=MteConfig(d_t=3))
+        batch = _random_batch(np.random.default_rng(4), p=1, n=4, d=2, t=2, counts=False, ste=False)
+        with pytest.raises(CheckFailure, match="token width"):
+            _tokens(cfg, batch, d=2)
 
 
 class TestLayoutAgreement:
     def test_raw_feature_block_is_layout_invariant(self):
-        rng = np.random.default_rng(5)
-        seq = _seq([PAD_ID, 5, 6, 7], d_e=3)
-        h = initial_feature_block(seq)
-        dims = TokenDims(d_e=3, d_t=2, d_b=1, d_s=1, d_tr=1)
-        sl = tokenize_sl(seq, h, rng.normal(size=(4, 2)), dims)
-        il = tokenize_il(seq, h, rng.normal(size=(4, 2)), rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), dims)
-        np.testing.assert_array_equal(sl.tokens[:, :3], il.tokens[:, :3])
+        pairs = [(_seq([PAD_ID, 5, 6, 7], d_e=3), _seq([1, 2, PAD_ID, 3], d_e=3, anchor=9))]
+        store = _store(3)
+        sl_cfg, il_cfg = _cfg(layout="sl"), _cfg(layout="il")
+        sl = featurize_pairs(pairs, NO_INDEX, store, sl_cfg)
+        il = featurize_pairs(pairs, NO_INDEX, store, il_cfg)
+        np.testing.assert_array_equal(sl.h, il.h)
+        sl_tokens, _ = _tokens(sl_cfg, sl, d=3)
+        il_tokens, _ = _tokens(il_cfg, il, d=3)
+        np.testing.assert_array_equal(sl_tokens[..., :3], il_tokens[..., :3])
 
     def test_il_width_concat_mode(self):
-        dims = TokenDims(d_e=4, d_t=10, d_b=5, d_s=3, d_tr=3)
-        assert dims.il_width() == 4 + 10 + 5 + 3 + 3
-        assert dims.il_width(time_dim=20) == 4 + 20 + 5 + 3 + 3
+        cfg = _cfg(mte=MteConfig(d_t=10, combine="concat"), d_b=5, d_s=3, d_tr=3)
+        assert cfg.token_width(0, 4) == 4 + 20 + 5 + 3 + 3
+        seq = _seq([5, 6, 7, 8], d_e=4)
+        batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(4), cfg)
+        tokens, _ = _tokens(cfg, batch, d=4)
+        assert tokens.shape[-1] == 4 + 20 + 5 + 3 + 3
 
     def test_node_features_gathered_for_real_slots(self):
         node_feats = np.arange(20.0).reshape(10, 2)
         seq = _seq([PAD_ID, 5, 6, 7], d_e=1)
-        block = initial_feature_block(seq, node_feats)
+        batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(1, node_features=node_feats), _cfg())
+        block = batch.h[0]
         assert block.shape == (4, 3)
         np.testing.assert_array_equal(block[0, :2], [0.0, 0.0])
         np.testing.assert_array_equal(block[1, :2], node_feats[5])
         np.testing.assert_array_equal(block[3, :2], node_feats[7])
+        np.testing.assert_array_equal(block[:, 2], seq.edge_feats[:, 0])
