@@ -6,6 +6,9 @@ All math is double precision; inputs may carry arbitrary leading batch axes
 unless noted. Key masking uses the window validity mask: PAD positions never
 receive attention, and rows with no valid key at all produce zero weight
 rows (so fully padded windows contribute zeros rather than NaNs).
+Multi-head attention keeps the heads as a leading array axis: every head
+runs in the same array operations, and its cache holds one (J, ...) array
+per intermediate.
 """
 
 from __future__ import annotations
@@ -141,70 +144,67 @@ def mlp2_backward(grad, cache):
     return dx, (dw1, db1, dw2, db2)
 
 
+def _head_view(w, x):
+    """(J, h, d) head weights viewed (J, 1, ..., 1, h, d) to broadcast against x."""
+    return w.reshape(w.shape[:1] + (1,) * (x.ndim - 2) + w.shape[1:])
+
+
 def multi_head_attention(
     x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False
 ):
     """Masked multi-head self-attention over one or a batch of windows.
 
-    ``x`` is (..., L, h); per head j the context is
-    ``softmax(x Wq_j (x Wk_j)^T / sqrt(d_k)) x Wv_j`` with PAD keys masked
-    out, heads are concatenated and mixed by ``wo``. Returns (output, cache);
-    ``cache['attn']`` holds the per-head weight stack (J, ..., L, L).
+    ``x`` is (..., L, h) and ``wq``/``wk``/``wv`` are (J, h, d_k). Per head j
+    the context is ``softmax(x Wq_j (x Wk_j)^T / sqrt(d_k)) x Wv_j`` with PAD
+    keys masked out; all heads run as one array with the head axis leading,
+    and their contexts are concatenated along the feature axis and mixed by
+    ``wo``. Returns (output, cache). Cached head arrays are head-first:
+    ``q``/``k``/``v`` (J, ..., L, d_k) and ``attn`` (the softmax weights,
+    before dropout) and ``dropped`` (J, ..., L, L).
     """
-    dk = wq.shape[-1]
-    scale = 1.0 / sqrt(dk)
-    heads, head_caches = [], []
-    for j in range(wq.shape[0]):
-        q = x @ wq[j]
-        k = x @ wk[j]
-        v = x @ wv[j]
-        scores = (q @ np.swapaxes(k, -1, -2)) * scale
-        attn = masked_softmax(scores, mask)
-        dropped, drop_scale = dropout_forward(attn, dropout_rate, rng, training)
-        heads.append(dropped @ v)
-        head_caches.append((q, k, v, attn, drop_scale, dropped))
-    concat = np.concatenate(heads, axis=-1)
+    scale = 1.0 / sqrt(wq.shape[-1])
+    q = x @ _head_view(wq, x)
+    k = x @ _head_view(wk, x)
+    v = x @ _head_view(wv, x)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    attn = masked_softmax(scores, mask)
+    dropped, drop_scale = dropout_forward(attn, dropout_rate, rng, training)
+    context = dropped @ v
+    concat = np.moveaxis(context, 0, -2).reshape(x.shape[:-1] + (-1,))
     y = concat @ wo + bo
     cache = {
-        "x": x,
-        "mask": mask,
-        "heads": head_caches,
-        "concat": concat,
-        "weights": (wq, wk, wv, wo),
-        "scale": scale,
-        "attn": np.stack([hc[3] for hc in head_caches]),
+        "x": x, "mask": mask, "q": q, "k": k, "v": v, "attn": attn,
+        "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
+        "weights": (wq, wk, wv, wo), "scale": scale,
     }
     return y, cache
 
 
 def multi_head_attention_backward(grad, cache):
-    x = cache["x"]
+    x, q, k, v, attn, dropped = (cache[key] for key in ("x", "q", "k", "v", "attn", "dropped"))
     wq, wk, wv, wo = cache["weights"]
-    scale = cache["scale"]
-    dv_width = wv.shape[-1]
+    heads, d_head = wq.shape[0], wq.shape[-1]
     flat = lambda arr: arr.reshape(-1, arr.shape[-1])
+    heads_t = lambda w: np.swapaxes(_head_view(w, x), -1, -2)
 
     dwo = flat(cache["concat"]).T @ flat(grad)
     dbo = flat(grad).sum(axis=0)
     dconcat = grad @ wo.T
-
-    dx = np.zeros_like(x)
-    dwq = np.zeros_like(wq)
-    dwk = np.zeros_like(wk)
-    dwv = np.zeros_like(wv)
-    for j, (q, k, v, attn, drop_scale, dropped) in enumerate(cache["heads"]):
-        dout = dconcat[..., j * dv_width : (j + 1) * dv_width]
-        ddropped = dout @ np.swapaxes(v, -1, -2)
-        dv = np.swapaxes(dropped, -1, -2) @ dout
-        dattn = dropout_backward(ddropped, drop_scale)
-        dscores = masked_softmax_backward(dattn, attn) * scale
-        dq = dscores @ k
-        dk_ = np.swapaxes(dscores, -1, -2) @ q
-        dwq[j] = flat(x).T @ flat(dq)
-        dwk[j] = flat(x).T @ flat(dk_)
-        dwv[j] = flat(x).T @ flat(dv)
-        dx += dq @ wq[j].T + dk_ @ wk[j].T + dv @ wv[j].T
-    return dx, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
+    dout = np.moveaxis(dconcat.reshape(x.shape[:-1] + (heads, d_head)), -2, 0)
+    ddropped = dout @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(dropped, -1, -2) @ dout
+    dattn = dropout_backward(ddropped, cache["drop_scale"])
+    dscores = masked_softmax_backward(dattn, attn) * cache["scale"]
+    dq = dscores @ k
+    dk_ = np.swapaxes(dscores, -1, -2) @ q
+    head_rows = lambda arr: arr.reshape(heads, -1, d_head)
+    dwq = flat(x).T @ head_rows(dq)
+    dwk = flat(x).T @ head_rows(dk_)
+    dwv = flat(x).T @ head_rows(dv)
+    dx_heads = dq @ heads_t(wq)
+    dx_heads += dk_ @ heads_t(wk)
+    dx_heads += dv @ heads_t(wv)
+    return dx_heads.sum(axis=0), {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
 
 
 def ffn_forward(x, w1, b1, w2, b2, *, dropout_rate=0.0, rng=None, training=False):

@@ -25,7 +25,6 @@ from .harness import (
     train,
     write_ablation_csv,
     write_metrics_csv,
-    write_trace_csv,
 )
 from .model import ModelParameters, grad_check, load_checkpoint
 from .sampling import NeighborSampler
@@ -49,7 +48,7 @@ def _load_run(args) -> RunConfig:
     if args.nss:
         run_cfg = replace(run_cfg, nss=args.nss)
     if args.setting:
-        run_cfg = replace(run_cfg, setting={"trans": "transductive", "ind": "inductive"}[args.setting])
+        run_cfg = replace(run_cfg, setting=args.setting)
     return run_cfg
 
 
@@ -85,8 +84,16 @@ def cmd_eval(args) -> int:
     store = _load_store(args)
     ckpt = load_checkpoint(args.checkpoint)
     params = ModelParameters(run_cfg.model, store.d_n, store.d_e, seed=run_cfg.train.seed)
-    for k, v in ckpt["values"].items():
-        params.values[k][...] = v
+    values = ckpt["values"]
+    for name in [*params.values, *sorted(set(values) - set(params.values))]:
+        want = params.values[name].shape if name in params.values else "absent"
+        got = values[name].shape if name in values else "absent"
+        if got != want:
+            raise ConfigError(
+                f"checkpoint does not match the config: tensor {name!r} has shape {got} "
+                f"in the checkpoint and {want} under the config"
+            )
+    params.restore(values)
     from .events import chronological_split
 
     splits = chronological_split(store, run_cfg.split)
@@ -134,8 +141,6 @@ def cmd_trace(args) -> int:
               f"mass={rec.mean_mass:.5f} ({rec.appearances} windows)")
     if not result.trace_records:
         print("no node exceeded the trace threshold; empty trace")
-    if args.out:
-        write_trace_csv(Path(args.out) / "traces.csv", result.trace_records)
     return 0
 
 

@@ -12,6 +12,7 @@ from .encoders import MteConfig
 from .errors import ConfigError
 from .events import SplitSpec
 from .model import ModelConfig
+from .sampling import NegativeSamplingStrategy
 
 __all__ = ["TrainConfig", "TraceSpec", "RunConfig", "load_config", "run_config_from_dict", "config_hash"]
 
@@ -64,6 +65,10 @@ class RunConfig:
     trace: TraceSpec | None = None
 
     def __post_init__(self):
+        try:
+            self.nss = NegativeSamplingStrategy(self.nss).kind
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.setting = _SETTING_ALIASES.get(self.setting, self.setting)
         if self.setting not in ("transductive", "inductive"):
             raise ConfigError(f"setting must be transductive or inductive, got {self.setting!r}")

@@ -28,6 +28,7 @@ from .model import (
     loss_and_grads,
     predict_probs,
     save_checkpoint,
+    to_sequences,
 )
 from .optim import AdamState, adam_step
 from .sampling import BatchNeighborIndex, NegativeSampler, NegativeSamplingStrategy, NeighborSampler
@@ -190,27 +191,23 @@ def attention_mass_snapshot(
 ) -> dict[int, tuple[float, int]]:
     """Mean attention mass each key node receives over the probe batches.
 
-    A node's mass in one window is the final-layer attention weight landing
+    A node's mass in one attention sequence (a window, or under layout ml a
+    pair's two stacked windows) is the final-layer attention weight landing
     on its key slots, summed over heads and valid query rows and normalized
-    by (heads x valid queries); masses over all nodes of a window sum to one.
-    The mean runs over windows where the node actually appears.
+    by (heads x valid queries); masses over all nodes of a sequence with a
+    valid token sum to one. The mean runs over sequences where the node
+    actually appears.
     """
     sums = {int(v): 0.0 for v in key_nodes}
     seen = {int(v): 0 for v in key_nodes}
-    n = cfg.n_neighbors
     for start in range(0, len(probe_pairs), batch_size):
         pairs = probe_pairs[start : start + batch_size]
         seq_pairs, index = sample_pair_windows(sampler, pairs, cfg, rng)
         batch = featurize_pairs(seq_pairs, index, store, cfg)
         _, cache = forward_batch(params, cfg, batch, training=False)
-        attn = attention_weights(cache, layer)  # (J, B, L, L)
-        if cfg.layout == "ml":
-            p = batch.num_pairs
-            ids = np.concatenate([batch.token_ids[:p], batch.token_ids[p:]], axis=1)
-            qmask = np.concatenate([batch.mask[:p], batch.mask[p:]], axis=1)
-        else:
-            ids = batch.token_ids
-            qmask = batch.mask
+        attn = attention_weights(cache, layer)  # (J, S, L, L)
+        ids = to_sequences(batch.token_ids, cfg)
+        qmask = to_sequences(batch.mask, cfg)
         heads = attn.shape[0]
         col_mass = (attn * qmask[None, :, :, None]).sum(axis=(0, 2))
         denom = np.maximum(qmask.sum(axis=1), 1) * heads
@@ -352,7 +349,7 @@ def train(store: EventStore, run_cfg: RunConfig, out_dir=None) -> TrainResult:
         out.mkdir(parents=True, exist_ok=True)
         write_run_log(out / "run.jsonl", epoch_records, report)
         write_metrics_csv(out / "metrics.csv", report)
-        if trace_records:
+        if run_cfg.trace is not None:
             write_trace_csv(out / "traces.csv", trace_records)
         save_checkpoint(
             out / "checkpoint.npz", params, adam, config_hash(run_cfg),

@@ -26,6 +26,8 @@ __all__ = [
     "ModelParameters",
     "PairBatch",
     "featurize_pairs",
+    "to_sequences",
+    "to_window_rows",
     "forward_batch",
     "backward_batch",
     "loss_and_grads",
@@ -211,18 +213,6 @@ class PairBatch:
     num_pairs: int
 
 
-def initial_feature_block(seq: NeighborSequence, node_features: np.ndarray | None = None) -> np.ndarray:
-    """Raw ``[node-features || edge-features]`` block; PAD rows stay zero."""
-    parts = []
-    if node_features is not None and node_features.shape[1]:
-        block = np.zeros((seq.n, node_features.shape[1]))
-        real = seq.ids != PAD_ID
-        block[real] = node_features[seq.ids[real]]
-        parts.append(block)
-    parts.append(seq.edge_feats)
-    return np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
-
-
 def featurize_pairs(
     seq_pairs: list[tuple[NeighborSequence, NeighborSequence]],
     index: BatchNeighborIndex,
@@ -232,15 +222,17 @@ def featurize_pairs(
     """Run the fixed encoders over sampled window pairs.
 
     A token is the raw feature block (neighbor node features plus edge
-    features) followed by layout-specific context columns, which
-    :func:`_assemble_tokens` concatenates in this order:
+    features, zero on PAD slots) followed by layout-specific context columns,
+    which :func:`_assemble_tokens` concatenates in this order:
 
     * ``sl`` - one window per node, tokens ``[features || fine-time]``;
-    * ``ml`` - the source and target windows of a pair stacked into one 2n
-      sequence of ``sl`` tokens, source block first (done in
-      :func:`forward_batch`);
+    * ``ml`` - ``sl`` tokens; :func:`to_sequences` stacks the source and
+      target windows of a pair into one 2n sequence, source block first;
     * ``il`` - one window per node, tokens ``[features || mixed-time ||
       interaction-counts embedding || season embedding || trend embedding]``.
+
+    Every block is built for all 2P windows at once; the per-pair
+    interaction counts are the one exception.
     """
     p = len(seq_pairs)
     if p == 0:
@@ -248,20 +240,14 @@ def featurize_pairs(
     n = seq_pairs[0][0].n
     seqs = [sp[0] for sp in seq_pairs] + [sp[1] for sp in seq_pairs]
 
-    d = store.d_n + store.d_e
-    h = np.zeros((2 * p, n, d))
-    times = np.empty((2 * p, n))
-    qtimes = np.empty((2 * p, 1))
-    mask = np.zeros((2 * p, n), dtype=bool)
-    token_ids = np.empty((2 * p, n), dtype=np.int64)
-    node_feats = store.node_features if store.d_n else None
-    for i, seq in enumerate(seqs):
-        if d:
-            h[i] = initial_feature_block(seq, node_feats)
-        times[i] = seq.times
-        qtimes[i, 0] = seq.query_time
-        mask[i] = seq.mask
-        token_ids[i] = seq.ids
+    h = np.stack([seq.edge_feats for seq in seqs])
+    times = np.stack([seq.times for seq in seqs])
+    qtimes = np.array([[seq.query_time] for seq in seqs], dtype=np.float64)
+    token_ids = np.stack([seq.ids for seq in seqs])
+    mask = token_ids != PAD_ID
+    if store.d_n:
+        node_block = np.where(mask[..., None], store.node_features[np.where(mask, token_ids, 0)], 0.0)
+        h = np.concatenate([node_block, h], axis=-1)
 
     tmix = None
     if cfg.time_mode != "none":
@@ -327,6 +313,27 @@ def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch
     return tokens, cache
 
 
+def to_sequences(rows: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Window rows (2P, n, ...) to transformer sequences.
+
+    Layouts il and sl attend within each window, so the rows are the
+    sequences. Layout ml sets a pair's two windows side by side in one
+    (P, 2n, ...) sequence, source block first (DyGFormer's patch stacking).
+    """
+    if cfg.layout != "ml":
+        return rows
+    p = len(rows) // 2
+    return np.concatenate([rows[:p], rows[p:]], axis=1)
+
+
+def to_window_rows(seqs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Inverse of :func:`to_sequences`: transformer sequences to (2P, n, ...) window rows."""
+    if cfg.layout != "ml":
+        return seqs
+    n = seqs.shape[1] // 2
+    return np.concatenate([seqs[:, :n], seqs[:, n:]], axis=0)
+
+
 def forward_batch(
     params: ModelParameters,
     cfg: ModelConfig,
@@ -337,15 +344,9 @@ def forward_batch(
 ):
     """Score every pair in the batch; returns (probabilities, cache)."""
     p = batch.num_pairs
-    n = batch.mask.shape[1]
     tokens, asm_cache = _assemble_tokens(params, cfg, batch)
-
-    if cfg.layout == "ml":
-        x = np.concatenate([tokens[:p], tokens[p:]], axis=1)
-        mask = np.concatenate([batch.mask[:p], batch.mask[p:]], axis=1)
-    else:
-        x = tokens
-        mask = batch.mask
+    x = to_sequences(tokens, cfg)
+    mask = to_sequences(batch.mask, cfg)
 
     x, proj_in = nn.linear_forward(x, params.values["input.w"], params.values["input.b"])
     layer_caches = []
@@ -356,15 +357,8 @@ def forward_batch(
         )
         layer_caches.append(cache_l)
 
-    if cfg.layout == "ml":
-        src_emb, ro_src = nn.readout_forward(x[:, :n], mask[:, :n])
-        tgt_emb, ro_tgt = nn.readout_forward(x[:, n:], mask[:, n:])
-        readout_cache = (ro_src, ro_tgt)
-    else:
-        emb, readout_cache = nn.readout_forward(x, mask)
-        src_emb, tgt_emb = emb[:p], emb[p:]
-
-    pair_emb = np.concatenate([src_emb, tgt_emb], axis=-1)
+    emb, readout_cache = nn.readout_forward(to_window_rows(x, cfg), batch.mask)
+    pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
     logit2d, link_cache = nn.mlp2_forward(
         pair_emb, params.values["link.w1"], params.values["link.b1"],
         params.values["link.w2"], params.values["link.b2"],
@@ -374,30 +368,20 @@ def forward_batch(
     cache = {
         "batch": batch, "asm": asm_cache, "proj_in": proj_in,
         "layers": layer_caches, "readout": readout_cache, "link": link_cache,
-        "n": n, "p": p, "final_tokens": x,
+        "final_tokens": x,
     }
     return probs, cache
 
 
 def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np.ndarray) -> None:
     """Accumulate gradients of the batch loss into ``params.grads``."""
-    p, n = cache["p"], cache["n"]
     dpair, (dw1, db1, dw2, db2) = nn.mlp2_backward(dlogits[:, None], cache["link"])
     params.grads["link.w1"] += dw1
     params.grads["link.b1"] += db1
     params.grads["link.w2"] += dw2
     params.grads["link.b2"] += db2
-    h = dpair.shape[-1] // 2
-    dsrc, dtgt = dpair[:, :h], dpair[:, h:]
-
-    if cfg.layout == "ml":
-        ro_src, ro_tgt = cache["readout"]
-        dx = np.concatenate(
-            [nn.readout_backward(dsrc, ro_src), nn.readout_backward(dtgt, ro_tgt)], axis=1
-        )
-    else:
-        demb = np.concatenate([dsrc, dtgt], axis=0)
-        dx = nn.readout_backward(demb, cache["readout"])
+    demb = np.concatenate(np.split(dpair, 2, axis=-1))  # source rows, then target rows
+    dx = to_sequences(nn.readout_backward(demb, cache["readout"]), cfg)
 
     for l in reversed(range(cfg.layers)):
         dx, layer_grads = nn.transformer_layer_backward(dx, cache["layers"][l])
@@ -406,11 +390,7 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
     dx, dw, db = nn.linear_backward(dx, cache["proj_in"], params.values["input.w"])
     params.grads["input.w"] += dw
     params.grads["input.b"] += db
-
-    if cfg.layout == "ml":
-        dtokens = np.concatenate([dx[:, :n], dx[:, n:]], axis=0)
-    else:
-        dtokens = dx
+    dtokens = to_window_rows(dx, cfg)
 
     slices = cache["asm"]["slices"]
     if "bie" in slices:
@@ -463,7 +443,8 @@ def predict_probs(params, cfg, batch) -> np.ndarray:
 
 
 def attention_weights(cache, layer: int = -1) -> np.ndarray:
-    """Per-head attention stack (J, B, L, L) captured by a forward pass."""
+    """Softmax attention weights (J, S, L, L) of one layer, head axis first,
+    over the S transformer sequences of :func:`to_sequences`."""
     return cache["layers"][layer]["msa"]["attn"]
 
 

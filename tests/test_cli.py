@@ -1,10 +1,16 @@
-"""Command-line error handling: bad input exits 2 with one line on stderr."""
+"""Command line: bad input exits 2 with one line on stderr; eval, trace and option aliases."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
+import tidegraph.cli
 from tidegraph.cli import main
+from tidegraph.config import RunConfig, config_hash, load_config
+from tidegraph.errors import ConfigError
 
 
 def _error_line(capsys):
@@ -47,3 +53,97 @@ def test_malformed_event_file(tmp_path, capsys):
     data.write_text("src,tgt,ts\n0,1,5\n0,2,x\n")
     assert main(["train", "--data", str(data)]) == 2
     assert "line 2" in _error_line(capsys)
+
+
+SMALL_MODEL = """
+model:
+  n_neighbors: 4
+  hidden: 8
+  layers: 1
+  heads: 2
+  d_b: 4
+  d_s: 4
+  d_tr: 4
+  mte: {d_t: 8, alpha: 60.0, beta: 1.0}
+"""
+
+
+def _small_run(tmp_path, model="", extra=""):
+    """A 400-event corpus and a config small enough to train in a second.
+
+    alpha is given explicitly: the corpus spans 1.6e6 s, and 60**7 > 1.6e12
+    satisfies the time encoder's decay condition at d_t = 8, beta = 1.
+    ``model`` adds lines to the model block, ``extra`` top-level lines.
+    """
+    data = tmp_path / "c.csv"
+    if not data.exists():
+        assert main(["gen-synth", "--events", "400", "--out", str(data)]) == 0
+    cfg = tmp_path / f"run{len(list(tmp_path.glob('run*.yaml')))}.yaml"
+    cfg.write_text(SMALL_MODEL + model + "train: {epochs: 1, batch_size: 100}\n" + extra)
+    return str(data), str(cfg)
+
+
+@pytest.fixture(scope="module")
+def il_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("il")
+    data, cfg = _small_run(tmp)
+    assert main(["train", "--data", data, "--config", cfg, "--out", str(tmp / "out")]) == 0
+    return tmp, data, str(tmp / "out" / "checkpoint.npz")
+
+
+def test_eval_matching_config(il_checkpoint, capsys):
+    tmp, data, ckpt = il_checkpoint
+    _, cfg = _small_run(tmp)
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--config", cfg, "--checkpoint", ckpt]) == 0
+    assert json.loads(capsys.readouterr().out)["test"]["num_positives"] > 0
+
+
+@pytest.mark.parametrize("model, message", [
+    # il tokens are 20 wide (8 time + 4 counts + 4 season + 4 trend), ml tokens 8
+    ("  layout: ml\n", "tensor 'input.w' has shape (20, 8) in the checkpoint and (8, 8) under the config"),
+    ("  use_bie: false\n", "tensor 'input.w' has shape (20, 8) in the checkpoint and (16, 8) under the config"),
+    ("  layers: 2\n", "tensor 'layers.1.wq' has shape absent in the checkpoint and (2, 8, 4) under the config"),
+])
+def test_eval_rejects_checkpoint_of_another_config(il_checkpoint, capsys, model, message):
+    tmp, data, ckpt = il_checkpoint
+    _, cfg = _small_run(tmp, model=model)
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--config", cfg, "--checkpoint", ckpt]) == 2
+    assert message in _error_line(capsys)
+
+
+def test_nss_alias_is_stored_canonically(tmp_path, capsys):
+    data, cfg = _small_run(tmp_path)
+    _, hist_cfg = _small_run(tmp_path, extra="nss: historical\n")
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", cfg, "--nss", "hist"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["nss"] == "historical"
+    assert report["config_hash"] == config_hash(load_config(hist_cfg))
+
+
+def test_nss_typo_rejected_before_training(tmp_path, capsys, monkeypatch):
+    data, cfg = _small_run(tmp_path, extra="nss: histrical\n")
+    monkeypatch.setattr(tidegraph.cli, "train", lambda *a, **k: pytest.fail("training started"))
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", cfg]) == 2
+    assert "'histrical'" in _error_line(capsys)
+
+
+def test_run_config_normalizes_nss():
+    assert RunConfig(nss="rnd").nss == "random"
+    assert replace(RunConfig(), nss="ind").nss == "inductive"
+    assert config_hash(RunConfig(nss="hist")) == config_hash(RunConfig(nss="historical"))
+    with pytest.raises(ConfigError, match="negative sampling"):
+        RunConfig(nss="histrical")
+
+
+def test_trace_writes_csv(tmp_path):
+    data, cfg = _small_run(tmp_path)
+    out = tmp_path / "out"
+    assert main(["trace", "--data", data, "--config", cfg, "--threshold", "5", "--out", str(out)]) == 0
+    with open(out / "traces.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "node", "frequency", "mean_mass", "appearances"]
+    assert len(rows) > 1

@@ -7,13 +7,21 @@ import pytest
 
 import tidegraph.model
 from tidegraph.cli import main
-from tidegraph.config import RunConfig, TrainConfig
+from tidegraph.config import RunConfig, TraceSpec, TrainConfig
 from tidegraph.encoders import MteConfig
 from tidegraph.errors import CheckFailure, ConfigError
-from tidegraph.harness import build_scoring_batch, gradcheck_fixture, sample_pair_windows, train, variant_config
+from tidegraph.harness import (
+    attention_mass_snapshot,
+    build_scoring_batch,
+    gradcheck_fixture,
+    sample_pair_windows,
+    train,
+    variant_config,
+)
 from tidegraph.model import (
     ModelConfig,
     ModelParameters,
+    attention_weights,
     batch_loss,
     featurize_pairs,
     forward_batch,
@@ -23,7 +31,7 @@ from tidegraph.model import (
     save_checkpoint,
 )
 from tidegraph.optim import AdamState, adam_step
-from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
+from tidegraph.sampling import PAD_ID, NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
 
 
@@ -293,6 +301,76 @@ class TestTrainingDynamics:
             assert sorted(a.files) == sorted(b.files)
             for k in a.files:
                 assert a[k].tobytes() == b[k].tobytes(), k
+
+
+    def test_trace_file_written_without_key_nodes(self, tmp_path):
+        # a trace whose threshold no node exceeds still leaves its (empty) file
+        store, _ = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)
+        run_cfg = RunConfig(
+            model=small_cfg(mte=MteConfig(d_t=100, alpha=26.0, beta=10.0)), train=TrainConfig(epochs=0),
+            trace=TraceSpec(threshold=1e6, epochs=[0, -1]),
+        )
+        result = train(store, run_cfg, out_dir=tmp_path)
+        assert result.trace_records == []
+        assert (tmp_path / "traces.csv").read_text().splitlines() == [
+            "epoch,node,frequency,mean_mass,appearances"
+        ]
+
+
+@pytest.mark.parametrize("layout", ["il", "ml"])
+class TestAttentionMassSnapshot:
+    """The traced mass against sums written out from the attention weights.
+
+    The tests stack an ml pair's two windows themselves, so they check the
+    layout handling of the snapshot as well as its arithmetic.
+    """
+
+    def _setup(self, layout):
+        cfg = small_cfg(layout=layout, time_mode="mix" if layout == "il" else "fine")
+        store, _ = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+        # the first events meet empty windows, so some sequences have no valid token
+        pairs = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in range(40)]
+        return cfg, store, params, NeighborSampler(store), pairs
+
+    def _sequences(self, batch, layout):
+        p = batch.num_pairs
+        if layout == "ml":
+            return [np.concatenate([batch.token_ids[i], batch.token_ids[p + i]]) for i in range(p)]
+        return list(batch.token_ids)
+
+    def test_masses_of_all_nodes_count_the_sequences(self, layout):
+        cfg, store, params, sampler, pairs = self._setup(layout)
+        masses = attention_mass_snapshot(
+            params, cfg, store, sampler, pairs, range(store.num_nodes), batch_size=16
+        )
+        with_token = 0
+        for start in range(0, len(pairs), 16):
+            batch = featurize_pairs(*sample_pair_windows(sampler, pairs[start:start + 16], cfg), store, cfg)
+            with_token += sum(bool((ids != PAD_ID).any()) for ids in self._sequences(batch, layout))
+        assert 0 < with_token < len(pairs) * (1 if layout == "ml" else 2)
+        total = sum(mean * seen for mean, seen in masses.values())
+        assert total == pytest.approx(with_token, abs=1e-9)
+
+    def test_one_node_by_hand(self, layout):
+        cfg, store, params, sampler, pairs = self._setup(layout)
+        batch = featurize_pairs(*sample_pair_windows(sampler, pairs, cfg), store, cfg)
+        _, cache = forward_batch(params, cfg, batch)
+        attn = attention_weights(cache)
+        heads = attn.shape[0]
+        seqs = self._sequences(batch, layout)
+        node = int(np.bincount(np.concatenate(seqs)[np.concatenate(seqs) != PAD_ID]).argmax())
+        per_seq = []
+        for s, ids in enumerate(seqs):
+            keys = np.flatnonzero(ids == node)
+            if len(keys) == 0:
+                continue
+            queries = np.flatnonzero(ids != PAD_ID)
+            mass = sum(attn[j, s, a, b] for j in range(heads) for a in queries for b in keys)
+            per_seq.append(mass / (heads * len(queries)))
+        mean, seen = attention_mass_snapshot(params, cfg, store, sampler, pairs, [node])[node]
+        assert seen == len(per_seq) > 1
+        assert mean == pytest.approx(np.mean(per_seq), rel=1e-12)
 
 
 class TestCheckpoint:

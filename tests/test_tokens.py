@@ -1,7 +1,7 @@
 """Token assembly widths, slicing, and masks for the three layouts.
 
 Tokens are built by one path: ``featurize_pairs`` runs the fixed encoders,
-``_assemble_tokens`` concatenates their blocks, and ``forward_batch`` stacks
+``_assemble_tokens`` concatenates their blocks, and ``to_sequences`` stacks
 the two windows of a pair for the ``ml`` layout.
 """
 
@@ -20,6 +20,8 @@ from tidegraph.model import (
     _assemble_tokens,
     featurize_pairs,
     forward_batch,
+    to_sequences,
+    to_window_rows,
 )
 from tidegraph.sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
 
@@ -168,6 +170,13 @@ class TestMixedTokens:
         seq = _seq([5, 6, 7, 8], d_e=2)
         _, _, stacked, _ = self._forward([(seq, seq)])
         np.testing.assert_array_equal(stacked[0, :4], stacked[0, 4:])
+
+    @pytest.mark.parametrize("layout, seq_shape", [("ml", (3, 8, 2)), ("il", (6, 4, 2))])
+    def test_window_rows_invert_sequences(self, layout, seq_shape):
+        rows = np.arange(6 * 4 * 2).reshape(6, 4, 2)
+        seqs = to_sequences(rows, _cfg(layout=layout))
+        assert seqs.shape == seq_shape
+        np.testing.assert_array_equal(to_window_rows(seqs, _cfg(layout=layout)), rows)
 
     def test_width_mismatch_rejected(self):
         # a time block narrower than the config's d_t fails the width check
