@@ -21,6 +21,7 @@ from .events import DatasetManifest, ingest_events, write_events
 from .harness import (
     ablate,
     evaluate_link_prediction,
+    evaluation_seed,
     gradcheck_fixture,
     train,
     write_ablation_csv,
@@ -101,7 +102,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate_link_prediction(
         params, run_cfg.model, store, sampler, splits.test,
         splits=splits, nss=run_cfg.nss, setting=run_cfg.setting,
-        batch_size=run_cfg.train.batch_size, eval_seed=run_cfg.train.seed,
+        batch_size=run_cfg.train.batch_size, eval_seed=evaluation_seed(run_cfg.train.seed),
     )
     report = {"config_hash": config_hash(run_cfg), "nss": run_cfg.nss,
               "setting": run_cfg.setting, "test": metrics}

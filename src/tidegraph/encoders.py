@@ -18,8 +18,7 @@ these features live with the model parameters.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -162,40 +161,21 @@ def mix_temporal(fine: np.ndarray, coarse_term: np.ndarray, combine: str = "sum"
 class ReconstructedSequence:
     """A neighbor window after cross-side reconstruction.
 
-    ``replacements`` maps token positions to the id multiset (as an array)
+    ``replacements`` maps token positions to the real neighbor ids (an array)
     that the token was expanded into by a successful dictionary lookup;
-    untouched positions keep their own id. The merged multiset is what the
-    opposite side's tokens are counted against.
+    untouched positions keep their own id. The merged ids, the kept real
+    tokens followed by every replacement array, are what the opposite side's
+    tokens are counted against.
     """
 
     base: NeighborSequence
     replacements: dict[int, np.ndarray]
-    _multiset: Counter | None = field(default=None, repr=False, compare=False)
 
-    def id_multiset(self) -> Counter:
-        """Merged non-PAD id multiset of the reconstructed window (cached)."""
-        if self._multiset is None:
-            counts: Counter = Counter()
-            ids = self.base.ids
-            for k in range(len(ids)):
-                if ids[k] == PAD_ID:
-                    continue
-                rep = self.replacements.get(k)
-                if rep is None:
-                    counts[int(ids[k])] += 1
-                else:
-                    for v in rep:
-                        counts[int(v)] += 1
-            self._multiset = counts
-        return self._multiset
-
-
-def _lookup_ids(index: dict[int, NeighborSequence], node: int) -> np.ndarray | None:
-    seq = index.get(node)
-    if seq is None:
-        return None
-    real = seq.ids[seq.ids != PAD_ID]
-    return real.copy()
+    def merged_ids(self) -> np.ndarray:
+        """Non-PAD ids of the reconstructed window, as one array."""
+        keep = self.base.mask
+        keep[list(self.replacements)] = False
+        return np.concatenate([self.base.ids[keep], *self.replacements.values()])
 
 
 def bie_reconstruct(
@@ -211,23 +191,23 @@ def bie_reconstruct(
     replaces the token by the retrieved window's neighbor ids; a miss leaves
     it unchanged. Anchors, PAD slots, and shared neighbors are never touched.
     """
-    src_ids = set(int(v) for v in src_seq.ids[src_seq.ids != PAD_ID])
-    tgt_ids = set(int(v) for v in tgt_seq.ids[tgt_seq.ids != PAD_ID])
-    shared = src_ids & tgt_ids
-    anchors = {src_seq.anchor, tgt_seq.anchor}
+    src_list, tgt_list = src_seq.ids.tolist(), tgt_seq.ids.tolist()
+    skip = (set(src_list) & set(tgt_list)) | {PAD_ID, src_seq.anchor, tgt_seq.anchor}
 
-    def reconstruct(seq: NeighborSequence, opposite: dict[int, NeighborSequence]) -> ReconstructedSequence:
+    def reconstruct(seq: NeighborSequence, ids: list[int], opposite: dict[int, NeighborSequence]):
         replacements: dict[int, np.ndarray] = {}
-        for k, v in enumerate(seq.ids):
-            v = int(v)
-            if v == PAD_ID or v in anchors or v in shared:
-                continue
-            retrieved = _lookup_ids(opposite, v)
-            if retrieved is not None:
-                replacements[k] = retrieved
+        for k, v in enumerate(ids):
+            hit = None if v in skip else opposite.get(v)
+            if hit is not None:
+                replacements[k] = hit.ids[hit.mask]
         return ReconstructedSequence(base=seq, replacements=replacements)
 
-    return reconstruct(src_seq, index.tgt_index), reconstruct(tgt_seq, index.src_index)
+    return reconstruct(src_seq, src_list, index.tgt_index), reconstruct(tgt_seq, tgt_list, index.src_index)
+
+
+def _occurrences(ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """How often each entry of ``ids`` occurs in ``pool``."""
+    return np.count_nonzero(ids[:, None] == pool[None, :], axis=1)
 
 
 def bie_counts(
@@ -235,33 +215,21 @@ def bie_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-token (source-side, target-side) interaction counts, shape (n, 2).
 
-    A token's own-side count comes from its original window; its cross-side
-    count comes from the opposite window *after* reconstruction, which is
-    where the widened receptive field pays off. The two anchor nodes are
-    special-cased to carry the pair's mutual counts, and PAD slots are (0,0).
+    Counts are taken by id equality on arrays. A token's own-side count
+    compares it with its own window's real ids; its cross-side count compares
+    it with the opposite window's merged ids *after* reconstruction, which is
+    where the widened receptive field pays off. Tokens equal to either anchor
+    carry the pair's mutual counts (how often each anchor occurs in the other
+    one's window). PAD slots come out (0, 0): no pool holds PAD.
     """
     src_seq, tgt_seq = src_new.base, tgt_new.base
-    src_orig = src_seq.id_counts()
-    tgt_orig = tgt_seq.id_counts()
-    src_recon = src_new.id_multiset()
-    tgt_recon = tgt_new.id_multiset()
-    anchors = {src_seq.anchor, tgt_seq.anchor}
-    mutual = (src_orig.get(tgt_seq.anchor, 0), tgt_orig.get(src_seq.anchor, 0))
-
-    def count_side(seq: NeighborSequence, own: Counter, cross: Counter) -> np.ndarray:
-        out = np.zeros((seq.n, 2), dtype=np.int64)
-        for k, v in enumerate(seq.ids):
-            v = int(v)
-            if v == PAD_ID:
-                continue
-            if v in anchors:
-                out[k] = mutual
-            else:
-                out[k] = (own.get(v, 0), cross.get(v, 0))
-        return out
-
-    i_src = count_side(src_seq, src_orig, tgt_recon)
-    i_tgt = count_side(tgt_seq, src_recon, tgt_orig)
+    src_real, tgt_real = src_seq.ids[src_seq.mask], tgt_seq.ids[tgt_seq.mask]
+    src_merged, tgt_merged = src_new.merged_ids(), tgt_new.merged_ids()
+    i_src = np.stack([_occurrences(src_seq.ids, src_real), _occurrences(src_seq.ids, tgt_merged)], axis=1)
+    i_tgt = np.stack([_occurrences(tgt_seq.ids, src_merged), _occurrences(tgt_seq.ids, tgt_real)], axis=1)
+    mutual = (np.count_nonzero(src_real == tgt_seq.anchor), np.count_nonzero(tgt_real == src_seq.anchor))
+    for ids, out in ((src_seq.ids, i_src), (tgt_seq.ids, i_tgt)):
+        out[(ids == src_seq.anchor) | (ids == tgt_seq.anchor)] = mutual
     return i_src, i_tgt
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "sample_pair_windows",
     "build_scoring_batch",
     "evaluate_link_prediction",
+    "evaluation_seed",
     "train",
     "node_frequencies",
     "attention_mass_snapshot",
@@ -79,6 +80,15 @@ class TrainResult:
 
 def _derived_seed(seed: int, purpose: int) -> int:
     return (seed * 7919 + purpose) % (2**31 - 1)
+
+
+def evaluation_seed(run_seed: int) -> int:
+    """Seed of every evaluation in a run seeded ``run_seed``.
+
+    ``tidegraph eval`` uses it too, so scoring a run's checkpoint draws the
+    run's negatives and windows and reproduces its test metrics.
+    """
+    return _derived_seed(run_seed, 4)
 
 
 def iter_event_batches(store: EventStore, lo: int, hi: int, batch_size: int):
@@ -256,13 +266,12 @@ def train(store: EventStore, run_cfg: RunConfig, out_dir=None) -> TrainResult:
     )
     drop_rng = np.random.default_rng(_derived_seed(tr.seed, 2))
     window_rng = np.random.default_rng(_derived_seed(tr.seed, 3))
-    eval_seed = _derived_seed(tr.seed, 4)
 
     def run_eval(ev_range):
         return evaluate_link_prediction(
             params, cfg, store, sampler, ev_range,
             splits=splits, nss=run_cfg.nss, setting=run_cfg.setting,
-            batch_size=tr.batch_size, eval_seed=eval_seed,
+            batch_size=tr.batch_size, eval_seed=evaluation_seed(tr.seed),
         )
 
     trace_records: list[AttentionTraceRecord] = []

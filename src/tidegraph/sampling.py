@@ -9,8 +9,7 @@ must additionally honor the validity mask.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class NeighborSequence:
     times: np.ndarray  # (n,) float64, PAD slots hold query_time
     edge_feats: np.ndarray  # (n, d_e), PAD rows are zero
     event_ids: np.ndarray  # (n,) int64, PAD slots hold -1
-    _id_counts: Counter | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -50,13 +48,6 @@ class NeighborSequence:
         """True on real interactions, False on PAD slots."""
         return self.ids != PAD_ID
 
-    def id_counts(self) -> Counter:
-        """Multiset of non-PAD neighbor ids (cached)."""
-        if self._id_counts is None:
-            real = self.ids[self.ids != PAD_ID]
-            self._id_counts = Counter(int(v) for v in real)
-        return self._id_counts
-
 
 class NeighborSampler:
     """Per-node chronological adjacency supporting recent/uniform windows.
@@ -66,9 +57,8 @@ class NeighborSampler:
     plus the window size.
     """
 
-    def __init__(self, store: EventStore, *, check_leakage: bool = True):
+    def __init__(self, store: EventStore):
         self.store = store
-        self.check_leakage = check_leakage
         n = store.num_events
         nodes = np.concatenate([store.src, store.tgt])
         partners = np.concatenate([store.tgt, store.src])
@@ -119,7 +109,7 @@ class NeighborSampler:
             times[n - k :] = self._times[picked]
             eids[n - k :] = self._eids[picked]
             feats[n - k :] = self.store.edge_features[self._eids[picked]]
-            if self.check_leakage and times[n - k :].max() >= query_time:
+            if times[n - k :].max() >= query_time:
                 raise LeakageError(
                     f"sampled interaction at t={times[n - k:].max()} for query_time={query_time}"
                 )

@@ -1,13 +1,29 @@
-"""The benchmark's hooks still find the program's functions.
+"""The benchmark's hooks still find the program's functions, and its checks pass.
 
 perfbench times and checks the program by wrapping its functions by name
 (``perfbench.worker.install_tracer`` and ``CheckedRound.install``). A renamed
-or moved function would otherwise only show when a benchmark run fails.
+or moved function would otherwise only show when a benchmark run fails, and
+so would a change that the checked round rejects.
 """
 
-from perfbench import corpus
+from dataclasses import replace
+
+import pytest
+
+from perfbench import checks, corpus
+from perfbench.corpus import CorpusSpec
 from perfbench.probe import Patches, Tracer
-from perfbench.worker import CheckedRound, install_tracer
+from perfbench.worker import (
+    CheckedRound,
+    Setup,
+    arch_for_checks,
+    check_round,
+    install_tracer,
+    make_round,
+    model_config,
+)
+from perfbench.workloads import WORKLOADS
+from tidegraph.model import ModelParameters, save_checkpoint
 
 
 class RecordingPatches(Patches):
@@ -32,3 +48,41 @@ def test_benchmark_hook_points_resolve():
         CheckedRound(tiny, arch={}).install(patches)
     missing = list(dict.fromkeys(patches.missing))
     assert missing == [], "benchmark hook points no longer resolve: " + ", ".join(missing)
+
+
+# Each workload on a corpus small enough for tier-1. The AP floors in the
+# benchmark's README are derived for the full corpora, so they are off here.
+TINY_CORPORA = {
+    "cycle-train": CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4),
+    "cycle-train-ml": CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4),
+    "hotnode-eval": CorpusSpec("hotnode", num_sources=6, num_targets=13, num_events=160, d_e=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_CORPORA))
+def test_checked_round_passes(name, tmp_path):
+    """One round as ``perfbench/run.py`` checks it, then one traced round."""
+    seed = 1
+    w = replace(WORKLOADS[name], corpus=TINY_CORPORA[name], batch_size=20, ap_floor=0.0)
+    c = corpus.generate(w.corpus, seed)
+    csv_path = corpus.write(c, tmp_path / "events.csv")
+    cfg = model_config(w, c)
+    ckpt = None
+    if w.mode == "eval":
+        ckpt = tmp_path / "checkpoint.npz"
+        save_checkpoint(ckpt, ModelParameters(cfg, 0, c.spec.d_e, seed=seed))
+    run_round = make_round(w, cfg, seed, Setup(w, cfg, seed, csv_path, ckpt))
+
+    cap = CheckedRound(c, arch_for_checks(w, c))
+    with Patches() as patches:
+        cap.install(patches)
+        reference = run_round()
+    cap.finish(c.feats)
+    assert check_round(w, c, cap, reference) == []
+
+    tracer = Tracer()
+    with Patches() as patches:
+        install_tracer(tracer, patches)
+        traced = run_round()
+    assert tracer.num_batches == w.round_shape()[0]
+    assert checks.check_same(reference, traced, "the traced round") == []

@@ -99,6 +99,17 @@ def test_eval_matching_config(il_checkpoint, capsys):
     assert json.loads(capsys.readouterr().out)["test"]["num_positives"] > 0
 
 
+def test_eval_reproduces_train_test_metrics(il_checkpoint, capsys):
+    # eval re-scores the test split with the negatives and windows train drew
+    tmp, data, ckpt = il_checkpoint
+    _, cfg = _small_run(tmp)
+    with open(tmp / "out" / "run.jsonl") as fh:
+        trained = json.loads(fh.readlines()[-1])["report"]["test"]
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--config", cfg, "--checkpoint", ckpt]) == 0
+    assert json.loads(capsys.readouterr().out)["test"] == trained
+
+
 @pytest.mark.parametrize("model, message", [
     # il tokens are 20 wide (8 time + 4 counts + 4 season + 4 trend), ml tokens 8
     ("  layout: ml\n", "tensor 'input.w' has shape (20, 8) in the checkpoint and (8, 8) under the config"),

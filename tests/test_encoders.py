@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tidegraph import harness
 from tidegraph.attention import mlp2_forward
 from tidegraph.encoders import (
     GRANULARITY_SECONDS,
@@ -19,7 +20,15 @@ from tidegraph.encoders import (
 from tidegraph.errors import ConfigError, LeakageError
 from tidegraph.events import EventStore
 from tidegraph.model import ModelConfig, featurize_pairs
-from tidegraph.sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
+from tidegraph.sampling import (
+    PAD_ID,
+    BatchNeighborIndex,
+    NegativeSampler,
+    NegativeSamplingStrategy,
+    NeighborSampler,
+    NeighborSequence,
+)
+from tidegraph.synth import generate_cycle_corpus, generate_hotnode_corpus
 
 
 def make_seq(anchor, ids, n=None, query_time=100.0):
@@ -273,6 +282,44 @@ class TestCountsOracle:
             want = brute_force_counts(src_seq, tgt_seq, index)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestBatchCounts:
+    """The counts ``build_scoring_batch`` feeds the model, pair by pair.
+
+    Positives share the batch dictionaries with their negatives, so every
+    row is checked against the oracle under the same batch index.
+    """
+
+    @pytest.mark.parametrize("corpus", ["cycle", "hotnode"])
+    @pytest.mark.parametrize("nss", ["random", "historical"])
+    def test_featurized_counts_match_oracle(self, corpus, nss, monkeypatch):
+        if corpus == "cycle":
+            store, _ = generate_cycle_corpus(num_sources=10, num_targets=30, num_events=600)
+        else:
+            store, _, _ = generate_hotnode_corpus(num_events=600)
+        calls = []
+
+        def recording(seq_pairs, index, *args):
+            calls.append((seq_pairs, index))
+            return featurize_pairs(seq_pairs, index, *args)
+
+        monkeypatch.setattr(harness, "featurize_pairs", recording)
+        cfg = ModelConfig(n_neighbors=8)
+        sampler = NeighborSampler(store)
+        negatives = NegativeSampler(store, NegativeSamplingStrategy(nss, seed=1), train_range=(0, 400))
+        pos = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in range(400, 560)]
+        neg, _ = negatives.sample(pos)
+        batch, _ = harness.build_scoring_batch(sampler, store, cfg, pos, neg)
+
+        (seq_pairs, index), = calls
+        p = batch.num_pairs
+        assert p == 2 * len(pos)
+        assert np.count_nonzero(batch.counts[..., 1]) > 0
+        for i, (src_seq, tgt_seq) in enumerate(seq_pairs):
+            want_src, want_tgt = brute_force_counts(src_seq, tgt_seq, index)
+            np.testing.assert_array_equal(batch.counts[i], want_src)
+            np.testing.assert_array_equal(batch.counts[p + i], want_tgt)
 
 
 class TestCountEmbedding:
