@@ -9,6 +9,12 @@ rows (so fully padded windows contribute zeros rather than NaNs).
 Multi-head attention keeps the heads as a leading array axis: every head
 runs in the same array operations, and its cache holds one (J, ...) array
 per intermediate.
+
+Every affine map (the input projection, the attention output projection,
+the FFN and its two-layer uses as the count lift and the link head, the
+season and trend embeddings) goes through :func:`linear_forward` and
+:func:`linear_backward`; the two-layer maps are :func:`ffn_forward` at
+dropout rate 0, where dropout is the identity and draws no random numbers.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ __all__ = [
     "linear_backward",
     "layer_norm_forward",
     "layer_norm_backward",
-    "mlp2_forward",
-    "mlp2_backward",
     "multi_head_attention",
     "multi_head_attention_backward",
     "ffn_forward",
@@ -87,20 +91,16 @@ def dropout_backward(grad, scale):
     return grad if scale is None else grad * scale
 
 
-def linear_forward(x, w, b=None):
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y, x
+def linear_forward(x, w, b):
+    """``x @ w + b`` over any leading axes; the cache is ``x``."""
+    return x @ w + b, x
 
 
-def linear_backward(grad, x, w, with_bias=True):
-    flat_x = x.reshape(-1, x.shape[-1])
+def linear_backward(grad, x, w):
+    """Gradients (dx, dw, db) of :func:`linear_forward`, leading axes summed."""
     flat_g = grad.reshape(-1, grad.shape[-1])
-    dw = flat_x.T @ flat_g
-    db = flat_g.sum(axis=0) if with_bias else None
-    dx = grad @ w.T
-    return dx, dw, db
+    dw = x.reshape(-1, x.shape[-1]).T @ flat_g
+    return grad @ w.T, dw, flat_g.sum(axis=0)
 
 
 def layer_norm_forward(x, gain, bias, eps=LN_EPS):
@@ -121,27 +121,6 @@ def layer_norm_backward(grad, cache):
     gx = grad * gain
     dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
     return dx, dgain, dbias
-
-
-def mlp2_forward(x, w1, b1, w2, b2):
-    """Affine -> rectifier -> affine, the shape shared by the count lift and heads."""
-    h = x @ w1 + b1
-    a = np.maximum(h, 0.0)
-    y = a @ w2 + b2
-    return y, (x, h, a, w1, w2)
-
-
-def mlp2_backward(grad, cache):
-    x, h, a, w1, w2 = cache
-    flat = lambda arr: arr.reshape(-1, arr.shape[-1])
-    dw2 = flat(a).T @ flat(grad)
-    db2 = flat(grad).sum(axis=0)
-    da = grad @ w2.T
-    dh = da * (h > 0)
-    dw1 = flat(x).T @ flat(dh)
-    db1 = flat(dh).sum(axis=0)
-    dx = dh @ w1.T
-    return dx, (dw1, db1, dw2, db2)
 
 
 def _head_view(w, x):
@@ -171,7 +150,7 @@ def multi_head_attention(
     dropped, drop_scale = dropout_forward(attn, dropout_rate, rng, training)
     context = dropped @ v
     concat = np.moveaxis(context, 0, -2).reshape(x.shape[:-1] + (-1,))
-    y = concat @ wo + bo
+    y, _ = linear_forward(concat, wo, bo)
     cache = {
         "x": x, "mask": mask, "q": q, "k": k, "v": v, "attn": attn,
         "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
@@ -184,12 +163,10 @@ def multi_head_attention_backward(grad, cache):
     x, q, k, v, attn, dropped = (cache[key] for key in ("x", "q", "k", "v", "attn", "dropped"))
     wq, wk, wv, wo = cache["weights"]
     heads, d_head = wq.shape[0], wq.shape[-1]
-    flat = lambda arr: arr.reshape(-1, arr.shape[-1])
     heads_t = lambda w: np.swapaxes(_head_view(w, x), -1, -2)
+    flat_x = x.reshape(-1, x.shape[-1])
 
-    dwo = flat(cache["concat"]).T @ flat(grad)
-    dbo = flat(grad).sum(axis=0)
-    dconcat = grad @ wo.T
+    dconcat, dwo, dbo = linear_backward(grad, cache["concat"], wo)
     dout = np.moveaxis(dconcat.reshape(x.shape[:-1] + (heads, d_head)), -2, 0)
     ddropped = dout @ np.swapaxes(v, -1, -2)
     dv = np.swapaxes(dropped, -1, -2) @ dout
@@ -198,9 +175,9 @@ def multi_head_attention_backward(grad, cache):
     dq = dscores @ k
     dk_ = np.swapaxes(dscores, -1, -2) @ q
     head_rows = lambda arr: arr.reshape(heads, -1, d_head)
-    dwq = flat(x).T @ head_rows(dq)
-    dwk = flat(x).T @ head_rows(dk_)
-    dwv = flat(x).T @ head_rows(dv)
+    dwq = flat_x.T @ head_rows(dq)
+    dwk = flat_x.T @ head_rows(dk_)
+    dwv = flat_x.T @ head_rows(dv)
     dx_heads = dq @ heads_t(wq)
     dx_heads += dk_ @ heads_t(wk)
     dx_heads += dv @ heads_t(wv)
@@ -208,23 +185,18 @@ def multi_head_attention_backward(grad, cache):
 
 
 def ffn_forward(x, w1, b1, w2, b2, *, dropout_rate=0.0, rng=None, training=False):
-    h = x @ w1 + b1
-    a = np.maximum(h, 0.0)
-    dropped, drop_scale = dropout_forward(a, dropout_rate, rng, training)
-    y = dropped @ w2 + b2
+    """Affine -> rectifier -> dropout -> affine; at rate 0 a plain two-layer MLP."""
+    h, _ = linear_forward(x, w1, b1)
+    dropped, drop_scale = dropout_forward(np.maximum(h, 0.0), dropout_rate, rng, training)
+    y, _ = linear_forward(dropped, w2, b2)
     return y, (x, h, dropped, drop_scale, w1, w2)
 
 
 def ffn_backward(grad, cache):
     x, h, dropped, drop_scale, w1, w2 = cache
-    flat = lambda arr: arr.reshape(-1, arr.shape[-1])
-    dw2 = flat(dropped).T @ flat(grad)
-    db2 = flat(grad).sum(axis=0)
-    da = dropout_backward(grad @ w2.T, drop_scale)
-    dh = da * (h > 0)
-    dw1 = flat(x).T @ flat(dh)
-    db1 = flat(dh).sum(axis=0)
-    dx = dh @ w1.T
+    ddropped, dw2, db2 = linear_backward(grad, dropped, w2)
+    dh = dropout_backward(ddropped, drop_scale) * (h > 0)
+    dx, dw1, db1 = linear_backward(dh, x, w1)
     return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -254,14 +226,8 @@ def transformer_layer_backward(grad, cache):
     dr1, dln1_g, dln1_b = layer_norm_backward(dx1, cache["ln1"])
     dmsa_x, msa_grads = multi_head_attention_backward(dr1, cache["msa"])
     dx = dr1 + dmsa_x
-    grads = {
-        "wq": msa_grads["wq"], "wk": msa_grads["wk"], "wv": msa_grads["wv"],
-        "wo": msa_grads["wo"], "bo": msa_grads["bo"],
-        "ln1_g": dln1_g, "ln1_b": dln1_b,
-        "ffn_w1": ffn_grads["w1"], "ffn_b1": ffn_grads["b1"],
-        "ffn_w2": ffn_grads["w2"], "ffn_b2": ffn_grads["b2"],
-        "ln2_g": dln2_g, "ln2_b": dln2_b,
-    }
+    grads = {**msa_grads, "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b}
+    grads.update({"ffn_" + k: g for k, g in ffn_grads.items()})
     return dx, grads
 
 
@@ -271,11 +237,11 @@ def readout_forward(x, mask):
     counts = m.sum(axis=-2)
     sums = (x * m).sum(axis=-2)
     y = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return y, (m, counts, x.shape)
+    return y, (m, counts)
 
 
 def readout_backward(grad, cache):
-    m, counts, shape = cache
+    m, counts = cache
     inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
     return (grad * inv)[..., None, :] * m
 

@@ -72,6 +72,11 @@ class RunConfig:
         self.setting = _SETTING_ALIASES.get(self.setting, self.setting)
         if self.setting not in ("transductive", "inductive"):
             raise ConfigError(f"setting must be transductive or inductive, got {self.setting!r}")
+        layers = self.model.layers
+        if self.trace is not None and not -layers <= self.trace.layer < layers:
+            raise ConfigError(
+                f"trace layer {self.trace.layer} outside [-{layers}, {layers}) for a {layers}-layer model"
+            )
 
     def to_dict(self) -> dict:
         out = {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -77,7 +78,6 @@ class EventStore:
         node_features=None,
         bipartite=False,
         labels=None,
-        reorder_count=0,
     ):
         self.src = np.ascontiguousarray(src, dtype=np.int64)
         self.tgt = np.ascontiguousarray(tgt, dtype=np.int64)
@@ -94,12 +94,11 @@ class EventStore:
             labels = np.full(n, np.nan)
         self.labels = np.ascontiguousarray(labels, dtype=np.float64)
 
-        if n and np.any(self.timestamps < 0):
-            bad = int(np.argmax(self.timestamps < 0))
-            raise ValidationError(f"negative timestamp at event {bad}")
-        if n and np.any(np.diff(self.timestamps) < 0):
-            bad = int(np.argmax(np.diff(self.timestamps) < 0)) + 1
-            raise ValidationError(f"events out of chronological order at event {bad}")
+        _reject_events(~np.isfinite(self.timestamps), "non-finite timestamp")
+        _reject_events(~np.isfinite(self.edge_features).all(axis=1), "non-finite edge feature")
+        _reject_events((self.src < 0) | (self.tgt < 0), "negative node id")
+        _reject_events(self.timestamps < 0, "negative timestamp")
+        _reject_events(np.diff(self.timestamps, prepend=-np.inf) < 0, "events out of chronological order")
 
         observed = int(max(self.src.max(), self.tgt.max())) + 1 if n else 0
         self.num_nodes = observed if num_nodes is None else int(num_nodes)
@@ -120,7 +119,6 @@ class EventStore:
                 raise ValidationError(
                     f"bipartite store has {overlap.size} ids on both sides, e.g. {overlap[0]}"
                 )
-        self.reorder_count = int(reorder_count)
 
     @property
     def d_e(self) -> int:
@@ -148,6 +146,12 @@ class EventStore:
         return np.unique(np.concatenate([self.src, self.tgt])) if self.num_events else np.array([], dtype=np.int64)
 
 
+def _reject_events(bad: np.ndarray, what: str) -> None:
+    """Raise naming the first event flagged in ``bad``, if any is."""
+    if bad.any():
+        raise ValidationError(f"{what} at event {int(np.argmax(bad))}")
+
+
 def _parse_header(header: list[str]):
     if len(header) < 3 or header[0] != "src" or header[1] != "tgt" or header[2] != "ts":
         raise SchemaError(f"header must start with src,tgt,ts; got {header[:3]}")
@@ -160,18 +164,13 @@ def _parse_header(header: list[str]):
     return has_label, len(feats)
 
 
-def ingest_events(
-    path,
-    manifest: DatasetManifest | None = None,
-    *,
-    strict: bool = True,
-) -> EventStore:
+def ingest_events(path, manifest: DatasetManifest | None = None) -> EventStore:
     """Read an event CSV (plus optional manifest) into an :class:`EventStore`.
 
-    In strict mode (default) out-of-order rows are rejected with the offending
-    line number; in lenient mode rows are stable-sorted by timestamp and the
-    number of reordered rows is recorded on the store. Reported line numbers
-    count data rows (the header is line 0).
+    Rows must be in chronological order, with non-negative node ids and
+    finite, non-negative timestamps and finite edge features; a row that is
+    not is rejected with its line number. Line numbers count data rows (the
+    header is line 0).
     """
     path = Path(path)
     if manifest is None:
@@ -190,8 +189,7 @@ def ingest_events(
             has_label, d_e = False, 0
         else:
             has_label, d_e = _parse_header([h.strip() for h in header])
-        reorder_count = 0
-        prev_ts = -np.inf
+        prev_ts = 0.0
         for line_no, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -211,15 +209,20 @@ def ingest_events(
                 feats.append([float(c) for c in row[offset:]])
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from exc
-            if stamp < 0:
-                raise ValidationError(f"line {line_no}: negative timestamp {stamp}")
-            if stamp < prev_ts:
-                if strict:
-                    raise ValidationError(
-                        f"line {line_no}: timestamp {stamp} precedes previous row"
-                    )
-                reorder_count += 1
-            prev_ts = max(prev_ts, stamp)
+            if s < 0 or t < 0:
+                raise ValidationError(f"line {line_no}: negative node id {min(s, t)}")
+            if d_e and not all(map(math.isfinite, feats[-1])):
+                raise ValidationError(f"line {line_no}: non-finite edge feature")
+            # one comparison on the common path rejects NaN, inf, negative and out-of-order times
+            if not prev_ts <= stamp < math.inf:
+                if not math.isfinite(stamp):
+                    why = f"non-finite timestamp {stamp}"
+                elif stamp < 0:
+                    why = f"negative timestamp {stamp}"
+                else:
+                    why = f"timestamp {stamp} precedes previous row"
+                raise ValidationError(f"line {line_no}: {why}")
+            prev_ts = stamp
             src.append(s)
             tgt.append(t)
             ts.append(stamp)
@@ -232,12 +235,6 @@ def ingest_events(
         feat_arr = feat_arr.reshape(len(src), d_e)
     label_arr = np.asarray(labels, dtype=np.float64) if has_label else None
 
-    if reorder_count:
-        order = np.argsort(ts, kind="stable")
-        src, tgt, ts, feat_arr = src[order], tgt[order], ts[order], feat_arr[order]
-        if label_arr is not None:
-            label_arr = label_arr[order]
-
     kwargs = {}
     if manifest is not None:
         kwargs = dict(num_nodes=manifest.num_nodes, bipartite=manifest.bipartite)
@@ -247,9 +244,7 @@ def ingest_events(
             raise SchemaError(
                 f"manifest declares d_e={manifest.d_e} but file has {feat_arr.shape[1]} feature columns"
             )
-    return EventStore(
-        src, tgt, ts, feat_arr, labels=label_arr, reorder_count=reorder_count, **kwargs
-    )
+    return EventStore(src, tgt, ts, feat_arr, labels=label_arr, **kwargs)
 
 
 def write_events(store: EventStore, path) -> None:

@@ -91,13 +91,14 @@ def evaluation_seed(run_seed: int) -> int:
     return _derived_seed(run_seed, 4)
 
 
+def _event_pairs(store: EventStore, idx) -> list[tuple[int, int, float]]:
+    """``(src, tgt, time)`` of the events with ids ``idx``, in order."""
+    return [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in idx]
+
+
 def iter_event_batches(store: EventStore, lo: int, hi: int, batch_size: int):
     for start in range(lo, hi, batch_size):
-        stop = min(start + batch_size, hi)
-        yield [
-            (int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i]))
-            for i in range(start, stop)
-        ]
+        yield _event_pairs(store, range(start, min(start + batch_size, hi)))
 
 
 def sample_pair_windows(sampler: NeighborSampler, pairs, cfg: ModelConfig, rng=None):
@@ -161,11 +162,7 @@ def evaluate_link_prediction(
 
     scores, labels = [], []
     for start in range(0, len(idx), batch_size):
-        chunk = idx[start : start + batch_size]
-        pos = [
-            (int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i]))
-            for i in chunk
-        ]
+        pos = _event_pairs(store, idx[start : start + batch_size])
         neg_tgts, _ = neg_sampler.sample(pos)
         batch, lbl = build_scoring_batch(sampler, store, cfg, pos, neg_tgts, rng)
         scores.append(predict_probs(params, cfg, batch))
@@ -232,10 +229,11 @@ def attention_mass_snapshot(
 
 
 def _trace_snapshot(epoch, params, run_cfg, store, sampler, probe_pairs, key_nodes, freqs):
-    spec = run_cfg.trace
+    # a fresh generator per snapshot: uniform windows probe the same
+    # neighbors at every epoch (recent windows never draw from it)
     masses = attention_mass_snapshot(
         params, run_cfg.model, store, sampler, probe_pairs, key_nodes,
-        layer=spec.layer,
+        layer=run_cfg.trace.layer, rng=np.random.default_rng(_derived_seed(run_cfg.train.seed, 5)),
     )
     return [
         AttentionTraceRecord(
@@ -286,10 +284,7 @@ def train(store: EventStore, run_cfg: RunConfig, out_dir=None) -> TrainResult:
             )
         lo = splits.train[0]
         hi = min(splits.train[1], lo + run_cfg.trace.probe_batches * tr.batch_size)
-        probe_pairs = [
-            (int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i]))
-            for i in range(lo, hi)
-        ]
+        probe_pairs = _event_pairs(store, range(lo, hi))
 
     def maybe_trace(epoch_tag):
         if run_cfg.trace is not None and key_nodes and epoch_tag in run_cfg.trace.epochs:
@@ -395,10 +390,7 @@ def gradcheck_fixture(
         d_b=50, d_s=50, d_tr=50, ste_window=3, mte=mte,
     )
     sampler = NeighborSampler(store)
-    pos = [
-        (int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i]))
-        for i in range(store.num_events - batch_pairs, store.num_events)
-    ]
+    pos = _event_pairs(store, range(store.num_events - batch_pairs, store.num_events))
     neg_sampler = NegativeSampler(store, NegativeSamplingStrategy("random", seed=corpus_seed))
     neg, _ = neg_sampler.sample(pos)
     batch, labels = build_scoring_batch(

@@ -179,9 +179,10 @@ class ModelParameters:
                 "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_g", "ln2_b")
         return {k: self.values[p + k] for k in keys}
 
-    def add_layer_grads(self, l: int, grads: dict[str, np.ndarray]) -> None:
+    def add_grads(self, prefix: str, grads: dict[str, np.ndarray]) -> None:
+        """Accumulate a block's gradients, keyed by local name, under ``prefix``."""
         for k, g in grads.items():
-            self.grads[f"layers.{l}.{k}"] += g
+            self.grads[f"{prefix}.{k}"] += g
 
     @property
     def num_scalars(self) -> int:
@@ -289,7 +290,7 @@ def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch
         blocks.append(batch.tmix)
         offset += batch.tmix.shape[-1]
     if cfg.bie_active:
-        emb, bie_cache = nn.mlp2_forward(
+        emb, bie_cache = nn.ffn_forward(
             batch.counts, params.values["bie.w1"], params.values["bie.b1"],
             params.values["bie.w2"], params.values["bie.b2"],
         )
@@ -359,7 +360,7 @@ def forward_batch(
 
     emb, readout_cache = nn.readout_forward(to_window_rows(x, cfg), batch.mask)
     pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
-    logit2d, link_cache = nn.mlp2_forward(
+    logit2d, link_cache = nn.ffn_forward(
         pair_emb, params.values["link.w1"], params.values["link.b1"],
         params.values["link.w2"], params.values["link.b2"],
     )
@@ -375,41 +376,30 @@ def forward_batch(
 
 def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np.ndarray) -> None:
     """Accumulate gradients of the batch loss into ``params.grads``."""
-    dpair, (dw1, db1, dw2, db2) = nn.mlp2_backward(dlogits[:, None], cache["link"])
-    params.grads["link.w1"] += dw1
-    params.grads["link.b1"] += db1
-    params.grads["link.w2"] += dw2
-    params.grads["link.b2"] += db2
+    dpair, link_grads = nn.ffn_backward(dlogits[:, None], cache["link"])
+    params.add_grads("link", link_grads)
     demb = np.concatenate(np.split(dpair, 2, axis=-1))  # source rows, then target rows
     dx = to_sequences(nn.readout_backward(demb, cache["readout"]), cfg)
 
     for l in reversed(range(cfg.layers)):
         dx, layer_grads = nn.transformer_layer_backward(dx, cache["layers"][l])
-        params.add_layer_grads(l, layer_grads)
+        params.add_grads(f"layers.{l}", layer_grads)
 
     dx, dw, db = nn.linear_backward(dx, cache["proj_in"], params.values["input.w"])
-    params.grads["input.w"] += dw
-    params.grads["input.b"] += db
+    params.add_grads("input", {"w": dw, "b": db})
     dtokens = to_window_rows(dx, cfg)
 
     slices = cache["asm"]["slices"]
     if "bie" in slices:
         a, b = slices["bie"]
-        _, (dw1, db1, dw2, db2) = nn.mlp2_backward(dtokens[..., a:b], cache["asm"]["bie"])
-        params.grads["bie.w1"] += dw1
-        params.grads["bie.b1"] += db1
-        params.grads["bie.w2"] += dw2
-        params.grads["bie.b2"] += db2
+        params.add_grads("bie", nn.ffn_backward(dtokens[..., a:b], cache["asm"]["bie"])[1])
     if "season" in slices:
         batch = cache["batch"]
         a, b = slices["season"]
         _, dws, dbs = nn.linear_backward(dtokens[..., a:b], batch.season, params.values["ste.ws"])
-        params.grads["ste.ws"] += dws
-        params.grads["ste.bs"] += dbs
         a, b = slices["trend"]
         _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], batch.trend, params.values["ste.wt"])
-        params.grads["ste.wt"] += dwt
-        params.grads["ste.bt"] += dbt
+        params.add_grads("ste", {"ws": dws, "bs": dbs, "wt": dwt, "bt": dbt})
 
 
 def loss_and_grads(
@@ -491,6 +481,8 @@ def grad_check(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if num_checks < 1:
+        raise ValueError(f"num_checks must be positive, got {num_checks}")
     rng = rng or np.random.default_rng(0)
     loss0, _ = loss_and_grads(params, cfg, batch, labels, training=False)
     if not np.isfinite(loss0):

@@ -7,6 +7,7 @@ import pytest
 
 from tidegraph.attention import (
     bce_loss,
+    ffn_forward,
     layer_norm_forward,
     masked_softmax,
     multi_head_attention,
@@ -182,6 +183,21 @@ class TestTransformerLayer:
         f = np.maximum(x1 @ params["ffn_w1"] + params["ffn_b1"], 0.0) @ params["ffn_w2"] + params["ffn_b2"]
         want = ln(x1 + f)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+class TestFfn:
+    def test_rate_zero_training_draws_nothing(self):
+        # the count lift and the link head run the FFN at rate 0 during
+        # training; they must not advance the dropout generator
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 5))
+        w1, b1, w2, b2 = rng.normal(size=(5, 7)), rng.normal(size=7), rng.normal(size=(7, 2)), rng.normal(size=2)
+        g = np.random.default_rng(10)
+        before = g.bit_generator.state
+        out, cache = ffn_forward(x, w1, b1, w2, b2, training=True, rng=g)
+        assert g.bit_generator.state == before
+        assert cache[3] is None
+        np.testing.assert_array_equal(out, ffn_forward(x, w1, b1, w2, b2)[0])
 
 
 class TestReadout:

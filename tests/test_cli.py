@@ -25,6 +25,11 @@ def test_gradcheck_zero_epsilon(capsys):
     assert "epsilon must be positive" in _error_line(capsys)
 
 
+def test_gradcheck_zero_checks(capsys):
+    assert main(["gradcheck", "--checks", "0"]) == 2
+    assert "num_checks must be positive" in _error_line(capsys)
+
+
 def test_train_default_config_on_synthetic_corpus(tmp_path, capsys):
     # the default time encoder cannot resolve this corpus's span; the user
     # gets the decay condition and the alpha that would satisfy it
@@ -53,6 +58,13 @@ def test_malformed_event_file(tmp_path, capsys):
     data.write_text("src,tgt,ts\n0,1,5\n0,2,x\n")
     assert main(["train", "--data", str(data)]) == 2
     assert "line 2" in _error_line(capsys)
+
+
+def test_non_finite_timestamp_rejected(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text("src,tgt,ts\n0,4,1.0\n1,4,nan\n")
+    assert main(["train", "--data", str(data)]) == 2
+    assert "line 2: non-finite timestamp" in _error_line(capsys)
 
 
 SMALL_MODEL = """
@@ -148,6 +160,14 @@ def test_run_config_normalizes_nss():
     assert config_hash(RunConfig(nss="hist")) == config_hash(RunConfig(nss="historical"))
     with pytest.raises(ConfigError, match="negative sampling"):
         RunConfig(nss="histrical")
+
+
+def test_trace_layer_out_of_range_rejected_before_training(tmp_path, capsys, monkeypatch):
+    data, cfg = _small_run(tmp_path)
+    monkeypatch.setattr(tidegraph.cli, "train", lambda *a, **k: pytest.fail("training started"))
+    capsys.readouterr()
+    assert main(["trace", "--data", data, "--config", cfg, "--layer", "1"]) == 2
+    assert "trace layer 1 outside [-1, 1)" in _error_line(capsys)
 
 
 def test_trace_writes_csv(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tidegraph import harness
-from tidegraph.attention import mlp2_forward
+from tidegraph.attention import ffn_forward
 from tidegraph.encoders import (
     GRANULARITY_SECONDS,
     MteConfig,
@@ -325,13 +325,13 @@ class TestBatchCounts:
 class TestCountEmbedding:
     def test_zero_counts_zero_bias_zero_rows(self):
         counts = np.zeros((3, 2))
-        out, _ = mlp2_forward(counts, np.ones((2, 4)), np.zeros(4), np.ones((4, 5)), np.zeros(5))
+        out, _ = ffn_forward(counts, np.ones((2, 4)), np.zeros(4), np.ones((4, 5)), np.zeros(5))
         np.testing.assert_array_equal(out, np.zeros((3, 5)))
 
     def test_rectifier_passes_positive(self):
         counts = np.array([[1.0, 2.0]])
         w1 = np.eye(2)
-        out, _ = mlp2_forward(counts, w1, np.zeros(2), np.eye(2), np.zeros(2))
+        out, _ = ffn_forward(counts, w1, np.zeros(2), np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out, counts)
 
     def test_matches_hand_composition(self):
@@ -341,7 +341,7 @@ class TestCountEmbedding:
         counts = np.array([[2.0, 2.0]])
         hidden = np.maximum(counts @ w1 + b1, 0.0)
         np.testing.assert_allclose(
-            mlp2_forward(counts, w1, b1, w2, b2)[0], hidden @ w2 + b2, atol=1e-15
+            ffn_forward(counts, w1, b1, w2, b2)[0], hidden @ w2 + b2, atol=1e-15
         )
 
 

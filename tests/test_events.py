@@ -36,14 +36,21 @@ class TestIngest:
     def test_out_of_order_strict_names_line(self, tmp_path):
         path = _write(tmp_path, "src,tgt,ts\n0,1,5\n0,2,1\n0,3,3\n")
         with pytest.raises(ValidationError, match="line 2"):
-            ingest_events(path, strict=True)
+            ingest_events(path)
 
-    def test_lenient_mode_sorts_and_counts(self, tmp_path):
-        path = _write(tmp_path, "src,tgt,ts\n0,1,5\n0,2,1\n0,3,3\n")
-        store = ingest_events(path, strict=False)
-        assert store.reorder_count == 2
-        np.testing.assert_array_equal(store.timestamps, [1, 3, 5])
-        np.testing.assert_array_equal(store.tgt, [2, 3, 1])
+    @pytest.mark.parametrize("text, message", [
+        ("src,tgt,ts\n0,1,1\n1,4,nan\n", "line 2: non-finite timestamp"),
+        ("src,tgt,ts,f0\n0,1,1,0.5\n0,2,2,0.5\n0,3,3,inf\n", "line 3: non-finite edge feature"),
+    ])
+    def test_non_finite_value_names_line(self, tmp_path, text, message):
+        # a NaN time would otherwise drop the event out of every window
+        with pytest.raises(ValidationError, match=message):
+            ingest_events(_write(tmp_path, text))
+
+    def test_negative_node_id_names_line(self, tmp_path):
+        # -1 is the window PAD id
+        with pytest.raises(ValidationError, match="line 2: negative node id -1"):
+            ingest_events(_write(tmp_path, "src,tgt,ts\n0,4,1.0\n-1,4,2.0\n"))
 
     def test_matches_hand_built_store(self, tmp_path):
         rows = [
@@ -111,6 +118,16 @@ class TestIngest:
         np.testing.assert_array_equal(back.timestamps, store.timestamps)
         np.testing.assert_array_equal(back.edge_features, store.edge_features)
         np.testing.assert_array_equal(np.isnan(back.labels), np.isnan(store.labels))
+
+    @pytest.mark.parametrize("src, ts, feats, message", [
+        ([0, 1, 2], [0.0, np.nan, 2.0], np.zeros((3, 1)), "non-finite timestamp at event 1"),
+        ([0, 1, 2], [0.0, 1.0, np.inf], np.zeros((3, 1)), "non-finite timestamp at event 2"),
+        ([0, 1, 2], [0.0, 1.0, 2.0], [[0.0], [0.0], [np.nan]], "non-finite edge feature at event 2"),
+        ([0, -1, 2], [0.0, 1.0, 2.0], np.zeros((3, 1)), "negative node id at event 1"),
+    ])
+    def test_store_rejects_bad_arrays(self, src, ts, feats, message):
+        with pytest.raises(ValidationError, match=message):
+            EventStore(src, [3, 4, 5], ts, feats)
 
     def test_bipartite_overlap_rejected(self):
         with pytest.raises(ValidationError, match="bipartite"):

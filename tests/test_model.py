@@ -316,6 +316,18 @@ class TestTrainingDynamics:
             "epoch,node,frequency,mean_mass,appearances"
         ]
 
+    def test_trace_with_uniform_windows(self):
+        # uniform windows need an rng; each snapshot gets a fresh one, so
+        # snapshots of the same parameters probe the same windows
+        store, _ = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)
+        run_cfg = RunConfig(
+            model=small_cfg(neighbor_strategy="uniform", mte=MteConfig(d_t=100, alpha=26.0, beta=10.0)),
+            train=TrainConfig(epochs=0), trace=TraceSpec(threshold=5, epochs=[0, -1]),
+        )
+        records = train(store, run_cfg).trace_records
+        start = [(r.node, r.mean_mass, r.appearances) for r in records if r.epoch == 0]
+        end = [(r.node, r.mean_mass, r.appearances) for r in records if r.epoch == -1]
+        assert start and start == end
 
 @pytest.mark.parametrize("layout", ["il", "ml"])
 class TestAttentionMassSnapshot:

@@ -101,7 +101,7 @@ class TestInteractionTokens:
         np.testing.assert_array_equal(t[..., :3], batch.h)
         np.testing.assert_array_equal(t[..., 3:9], batch.tmix)
         assert cache["slices"] == {"bie": (9, 11), "season": (11, 13), "trend": (13, 15)}
-        bie, _ = nn.mlp2_forward(batch.counts, v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
+        bie, _ = nn.ffn_forward(batch.counts, v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
         np.testing.assert_array_equal(t[..., 9:11], bie)
         np.testing.assert_array_equal(t[..., 11:13], batch.season @ v["ste.ws"] + v["ste.bs"])
         np.testing.assert_array_equal(t[..., 13:], batch.trend @ v["ste.wt"] + v["ste.bt"])
