@@ -2,13 +2,19 @@
 
 Every operation comes as a ``*_forward`` returning ``(output, cache)`` and a
 matching ``*_backward`` consuming the upstream gradient plus that cache.
-All math is double precision; inputs may carry arbitrary leading batch axes
-unless noted. Key masking uses the window validity mask: PAD positions never
-receive attention, and rows with no valid key at all produce zero weight
-rows (so fully padded windows contribute zeros rather than NaNs).
-Multi-head attention keeps the heads as a leading array axis: every head
-runs in the same array operations, and its cache holds one (J, ...) array
-per intermediate.
+Inputs may carry arbitrary leading batch axes unless noted. Key masking
+uses the window validity mask: PAD positions never receive attention, and
+rows with no valid key at all produce zero weight rows (so fully padded
+windows contribute zeros rather than NaNs). Multi-head attention keeps the
+heads as a leading array axis: every head runs in the same array operations,
+and its cache holds one (J, ...) array per intermediate.
+
+Dtype policy: every kernel computes in the dtype of its input ``x`` and its
+weights, and its outputs, caches and gradients keep that dtype. The model
+runs them in its parameters' compute dtype (float32, or float64 for gradient
+checks). Dropout masks are drawn as float64 uniforms, so a seeded
+generator drops the same units in either dtype, and applied in ``x.dtype``.
+:func:`sigmoid` and :func:`bce_loss` compute in float64 whatever their input.
 
 Every affine map (the input projection, the attention output projection,
 the FFN and its two-layer uses as the count lift and the link head, the
@@ -83,7 +89,7 @@ def dropout_forward(x, rate, rng, training):
     if not training or rate == 0.0:
         return x, None
     keep = 1.0 - rate
-    scale = (rng.random(x.shape) >= rate) / keep
+    scale = (rng.random(x.shape) >= rate).astype(x.dtype) / keep
     return x * scale, scale
 
 
@@ -233,7 +239,7 @@ def transformer_layer_backward(grad, cache):
 
 def readout_forward(x, mask):
     """Mean over valid rows: (..., L, h) + (..., L) -> (..., h); all-PAD -> 0."""
-    m = np.asarray(mask, dtype=np.float64)[..., None]
+    m = np.asarray(mask, dtype=x.dtype)[..., None]
     counts = m.sum(axis=-2)
     sums = (x * m).sum(axis=-2)
     y = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)

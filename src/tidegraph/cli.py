@@ -140,7 +140,11 @@ def cmd_trace(args) -> int:
     for rec in result.trace_records:
         print(f"epoch={rec.epoch:>3} node={rec.node:<6d} freq={rec.frequency:<6d} "
               f"mass={rec.mean_mass:.5f} ({rec.appearances} windows)")
-    if not result.trace_records:
+    epochs_run = result.report["epochs_run"]
+    missed = [e for e in epochs if e > epochs_run]
+    if missed:
+        print(f"training stopped after epoch {epochs_run}; no snapshot at epochs {missed}")
+    if not result.trace_records and len(missed) < len(epochs):
         print("no node exceeded the trace threshold; empty trace")
     return 0
 

@@ -72,11 +72,18 @@ class RunConfig:
         self.setting = _SETTING_ALIASES.get(self.setting, self.setting)
         if self.setting not in ("transductive", "inductive"):
             raise ConfigError(f"setting must be transductive or inductive, got {self.setting!r}")
-        layers = self.model.layers
-        if self.trace is not None and not -layers <= self.trace.layer < layers:
-            raise ConfigError(
-                f"trace layer {self.trace.layer} outside [-{layers}, {layers}) for a {layers}-layer model"
-            )
+        if self.trace is not None:
+            layers, epochs = self.model.layers, self.train.epochs
+            if not -layers <= self.trace.layer < layers:
+                raise ConfigError(
+                    f"trace layer {self.trace.layer} outside [-{layers}, {layers}) for a {layers}-layer model"
+                )
+            # train snapshots before training (0), after each epoch and at the end (-1)
+            bad = [e for e in self.trace.epochs if not -1 <= e <= epochs]
+            if bad:
+                raise ConfigError(
+                    f"trace epochs {bad} outside -1 (end), 0 (start) and 1..{epochs} for a {epochs}-epoch run"
+                )
 
     def to_dict(self) -> dict:
         out = {

@@ -325,6 +325,13 @@ def train(store: EventStore, run_cfg: RunConfig, out_dir=None) -> TrainResult:
             if patience_left == 0:
                 break
 
+    if run_cfg.trace is not None:
+        missed = [e for e in run_cfg.trace.epochs if e > epochs_run]
+        if missed:
+            log.warning(
+                "training stopped after epoch %d; no attention snapshot at epochs %s",
+                epochs_run, missed,
+            )
     params.restore(best_snapshot)
     if best["metrics"] is None:
         best = {"val_ap": None, "epoch": 0, "metrics": run_eval(splits.val)}
@@ -383,6 +390,11 @@ def gradcheck_fixture(
     store, _ = generate_cycle_corpus(
         num_sources=6, num_targets=18, num_events=240, seed=corpus_seed, d_e=4
     )
+    if not 1 <= batch_pairs <= store.num_events:
+        raise ValueError(
+            f"batch_pairs must lie in [1, {store.num_events}] (the fixture corpus has "
+            f"{store.num_events} events), got {batch_pairs}"
+        )
     mte = MteConfig(d_t=100, granularity="weekly", r_segments=14, alpha=26.0, beta=10.0)
     mte.validate_decay(store.duration_seconds)
     cfg = ModelConfig(
@@ -396,7 +408,7 @@ def gradcheck_fixture(
     batch, labels = build_scoring_batch(
         sampler, store, cfg, pos, neg, np.random.default_rng(corpus_seed)
     )
-    params = ModelParameters(cfg, store.d_n, store.d_e, seed=param_seed)
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=param_seed).astype(np.float64)
     return params, cfg, batch, labels
 
 

@@ -6,12 +6,20 @@ width, runs a small masked-attention stack, mean-pools valid rows into node
 embeddings, and scores the pair with a two-layer head. Backward passes are
 hand-derived and accumulate into gradient buffers shaped like the parameters,
 so the whole pipeline can be verified by central finite differences.
+
+The transformer computes in the parameters' dtype (:data:`COMPUTE_DTYPE`,
+float32): parameters, activations, caches and gradients. The
+encoders stay in float64, because the time encoding takes cos(omega * dt) of
+spans up to years, where a float32 ulp is seconds; :func:`_assemble_tokens`
+casts their output once. Logits are lifted back to float64 for the sigmoid
+and the loss, and :func:`grad_check` checks a float64 copy of the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import copy
 import json
 
 import numpy as np
@@ -40,6 +48,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
+# The transformer's compute dtype; ModelParameters.astype gives a copy in another.
+COMPUTE_DTYPE = np.float32
 # K in grad_check's roundoff allowance K * eps_mach * |L| / epsilon.
 ROUNDOFF_FACTOR = 4.0
 
@@ -123,10 +133,16 @@ def _glorot(rng, shape, fan_in, fan_out):
 
 
 class ModelParameters:
-    """Named parameter tensors plus same-shaped gradient buffers."""
+    """Named parameter tensors plus same-shaped gradient buffers.
+
+    Every tensor has the compute dtype ``dtype``, :data:`COMPUTE_DTYPE` as
+    built; :meth:`astype` gives a copy in another dtype. The initial values
+    are drawn in float64 and then cast.
+    """
 
     def __init__(self, cfg: ModelConfig, d_n: int, d_e: int, seed: int = 0):
         self.cfg = cfg
+        self.dtype = np.dtype(COMPUTE_DTYPE)
         self.d_n = d_n
         self.d_e = d_e
         rng = np.random.default_rng(seed)
@@ -166,8 +182,16 @@ class ModelParameters:
         vals["link.w2"] = _glorot(rng, (h, 1), h, 1)
         vals["link.b2"] = np.zeros(1)
 
-        self.values = vals
-        self.grads = {k: np.zeros_like(v) for k, v in vals.items()}
+        self.values = {k: v.astype(self.dtype, copy=False) for k, v in vals.items()}
+        self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
+
+    def astype(self, dtype) -> "ModelParameters":
+        """A copy with every tensor cast to ``dtype`` and zero gradients."""
+        out = copy.copy(self)
+        out.dtype = np.dtype(dtype)
+        out.values = {k: v.astype(out.dtype) for k, v in self.values.items()}
+        out.grads = {k: np.zeros_like(v) for k, v in out.values.items()}
+        return out
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -192,6 +216,7 @@ class ModelParameters:
         return {k: v.copy() for k, v in self.values.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy ``snapshot`` into the tensors, cast to the compute dtype."""
         for k, v in snapshot.items():
             self.values[k][...] = v
 
@@ -282,25 +307,29 @@ def featurize_pairs(
 
 
 def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
-    blocks = [batch.h]
+    """Token rows in the compute dtype; the float64 encoder outputs are cast
+    here, once, and the cast count and season/trend columns are what the
+    backward pass reads."""
+    cast = lambda a: a.astype(params.dtype, copy=False)
+    v = params.values
+    blocks = [cast(batch.h)]
     slices = {}
     offset = batch.h.shape[-1]
     cache = {}
     if cfg.time_mode != "none":
-        blocks.append(batch.tmix)
+        blocks.append(cast(batch.tmix))
         offset += batch.tmix.shape[-1]
     if cfg.bie_active:
         emb, bie_cache = nn.ffn_forward(
-            batch.counts, params.values["bie.w1"], params.values["bie.b1"],
-            params.values["bie.w2"], params.values["bie.b2"],
+            cast(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"]
         )
         blocks.append(emb)
         slices["bie"] = (offset, offset + cfg.d_b)
         cache["bie"] = bie_cache
         offset += cfg.d_b
     if cfg.ste_active:
-        s_emb, _ = nn.linear_forward(batch.season, params.values["ste.ws"], params.values["ste.bs"])
-        t_emb, _ = nn.linear_forward(batch.trend, params.values["ste.wt"], params.values["ste.bt"])
+        s_emb, cache["season"] = nn.linear_forward(cast(batch.season), v["ste.ws"], v["ste.bs"])
+        t_emb, cache["trend"] = nn.linear_forward(cast(batch.trend), v["ste.wt"], v["ste.bt"])
         blocks.append(s_emb)
         blocks.append(t_emb)
         slices["season"] = (offset, offset + cfg.d_s)
@@ -367,7 +396,7 @@ def forward_batch(
     logits = logit2d[:, 0]
     probs = nn.sigmoid(logits)
     cache = {
-        "batch": batch, "asm": asm_cache, "proj_in": proj_in,
+        "asm": asm_cache, "proj_in": proj_in,
         "layers": layer_caches, "readout": readout_cache, "link": link_cache,
         "final_tokens": x,
     }
@@ -375,7 +404,12 @@ def forward_batch(
 
 
 def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np.ndarray) -> None:
-    """Accumulate gradients of the batch loss into ``params.grads``."""
+    """Accumulate gradients of the batch loss into ``params.grads``.
+
+    ``dlogits`` (float64, from the loss) is cast to the compute dtype first,
+    so the whole backward pass runs in it.
+    """
+    dlogits = dlogits.astype(params.dtype, copy=False)
     dpair, link_grads = nn.ffn_backward(dlogits[:, None], cache["link"])
     params.add_grads("link", link_grads)
     demb = np.concatenate(np.split(dpair, 2, axis=-1))  # source rows, then target rows
@@ -389,16 +423,16 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
     params.add_grads("input", {"w": dw, "b": db})
     dtokens = to_window_rows(dx, cfg)
 
-    slices = cache["asm"]["slices"]
+    asm = cache["asm"]
+    slices = asm["slices"]
     if "bie" in slices:
         a, b = slices["bie"]
-        params.add_grads("bie", nn.ffn_backward(dtokens[..., a:b], cache["asm"]["bie"])[1])
+        params.add_grads("bie", nn.ffn_backward(dtokens[..., a:b], asm["bie"])[1])
     if "season" in slices:
-        batch = cache["batch"]
         a, b = slices["season"]
-        _, dws, dbs = nn.linear_backward(dtokens[..., a:b], batch.season, params.values["ste.ws"])
+        _, dws, dbs = nn.linear_backward(dtokens[..., a:b], asm["season"], params.values["ste.ws"])
         a, b = slices["trend"]
-        _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], batch.trend, params.values["ste.wt"])
+        _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], asm["trend"], params.values["ste.wt"])
         params.add_grads("ste", {"ws": dws, "bs": dbs, "wt": dwt, "bt": dbt})
 
 
@@ -450,8 +484,10 @@ def grad_check(
     """Max relative gradient error beyond the finite-difference roundoff floor.
 
     Checks a random subset of parameter scalars in deterministic (dropout
-    off) mode. For each scalar the analytic gradient a and the central
-    difference n = (L+ - L-) / 2ε are compared by the criterion
+    off) mode, on a float64 copy of ``params``; the caller's parameters and
+    gradients are left as they were. For each scalar the analytic gradient
+    a and the central difference n = (L+ - L-) / 2ε are compared by the
+    criterion
 
         |a - n| <= atol + rtol * max(|a|, |n|),
         atol = K * eps_mach * max(|L+|, |L-|) / ε,
@@ -484,6 +520,7 @@ def grad_check(
     if num_checks < 1:
         raise ValueError(f"num_checks must be positive, got {num_checks}")
     rng = rng or np.random.default_rng(0)
+    params = params.astype(np.float64)
     loss0, _ = loss_and_grads(params, cfg, batch, labels, training=False)
     if not np.isfinite(loss0):
         raise CheckFailure("non-finite loss at the check point")
@@ -520,7 +557,8 @@ def grad_check(
 def save_checkpoint(path, params: ModelParameters, adam_state=None, config_hash: str = "", extra: dict | None = None) -> None:
     """Named-tensor container: ``param.*`` arrays, optional ``adam_{m,v}.*``
     moment arrays, and a JSON ``meta`` record (format version, config hash,
-    optimizer step, any extra fields)."""
+    optimizer step, any extra fields). Arrays keep the parameters' dtype;
+    :meth:`ModelParameters.restore` casts them into a model of either dtype."""
     payload = {f"param.{k}": v for k, v in params.values.items()}
     meta = {"format_version": CHECKPOINT_VERSION, "config_hash": config_hash}
     if adam_state is not None:

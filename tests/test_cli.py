@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tidegraph.cli
+import tidegraph.harness
 from tidegraph.cli import main
 from tidegraph.config import RunConfig, config_hash, load_config
 from tidegraph.errors import ConfigError
@@ -28,6 +29,12 @@ def test_gradcheck_zero_epsilon(capsys):
 def test_gradcheck_zero_checks(capsys):
     assert main(["gradcheck", "--checks", "0"]) == 2
     assert "num_checks must be positive" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("batch", ["0", "241", "500"])
+def test_gradcheck_batch_beyond_fixture_corpus(capsys, batch):
+    assert main(["gradcheck", "--batch", batch]) == 2
+    assert f"batch_pairs must lie in [1, 240] (the fixture corpus has 240 events), got {batch}" in _error_line(capsys)
 
 
 def test_train_default_config_on_synthetic_corpus(tmp_path, capsys):
@@ -168,6 +175,42 @@ def test_trace_layer_out_of_range_rejected_before_training(tmp_path, capsys, mon
     capsys.readouterr()
     assert main(["trace", "--data", data, "--config", cfg, "--layer", "1"]) == 2
     assert "trace layer 1 outside [-1, 1)" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("at_epochs, bad", [("5,-2", "[5, -2]"), ("0,2,-1", "[2]")])
+def test_trace_epochs_out_of_range_rejected_before_training(tmp_path, capsys, monkeypatch, at_epochs, bad):
+    # a 1-epoch run snapshots at 0, 1 and -1 only; any other tag would trace nothing
+    data, cfg = _small_run(tmp_path)
+    monkeypatch.setattr(tidegraph.cli, "train", lambda *a, **k: pytest.fail("training started"))
+    capsys.readouterr()
+    assert main(["trace", "--data", data, "--config", cfg, "--at-epochs", at_epochs]) == 2
+    assert f"trace epochs {bad} outside -1 (end), 0 (start) and 1..1 for a 1-epoch run" in _error_line(capsys)
+
+
+def test_trace_at_every_epoch_tag(tmp_path):
+    data, cfg = _small_run(tmp_path)
+    out = tmp_path / "out"
+    assert main(["trace", "--data", data, "--config", cfg, "--threshold", "5",
+                 "--at-epochs", "0,1,-1", "--out", str(out)]) == 0
+    with open(out / "traces.csv") as fh:
+        assert {row["epoch"] for row in csv.DictReader(fh)} == {"0", "1", "-1"}
+
+
+def test_trace_epoch_after_early_stop_is_named(tmp_path, capsys, monkeypatch):
+    # a constant val AP never improves after epoch 1, so patience 1 stops a
+    # 3-epoch run after epoch 2 and epoch 3 is never snapshot
+    data, _ = _small_run(tmp_path)
+    cfg = tmp_path / "early.yaml"
+    cfg.write_text(SMALL_MODEL + "train: {epochs: 3, patience: 1, batch_size: 100}\n")
+    evaluate = tidegraph.harness.evaluate_link_prediction
+    monkeypatch.setattr(tidegraph.harness, "evaluate_link_prediction",
+                        lambda *a, **k: {**evaluate(*a, **k), "ap": 0.5})
+    capsys.readouterr()
+    assert main(["trace", "--data", data, "--config", str(cfg), "--threshold", "5",
+                 "--at-epochs", "3", "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "training stopped after epoch 2; no snapshot at epochs [3]" in out
+    assert "no node exceeded" not in out
 
 
 def test_trace_writes_csv(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end model: widths, gradients, determinism, capacity, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -150,6 +151,22 @@ class TestGradients:
             err = grad_check(params, cfg, batch, labels, epsilon=1e-5,
                              num_checks=150, rng=np.random.default_rng(0))
             assert err < 1e-4, f"layout {layout}: {err}"
+
+    def test_gradcheck_checks_a_float64_copy(self):
+        # central differences at epsilon 1e-5 need float64; the caller's
+        # float32 parameters and gradient buffers are left as they were
+        cfg = small_cfg()
+        store, batch, labels = tiny_batch(cfg)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        before = params.snapshot()
+        err = grad_check(params, cfg, batch, labels, epsilon=1e-5,
+                         num_checks=50, rng=np.random.default_rng(0))
+        assert err < 1e-4
+        assert params.dtype == np.float32
+        for k, v in before.items():
+            assert params.values[k].dtype == np.float32
+            np.testing.assert_array_equal(params.values[k], v)
+            assert not params.grads[k].any()
 
     def test_gradcheck_reference_dimensions(self):
         params, cfg, batch, labels = gradcheck_fixture()
@@ -334,13 +351,15 @@ class TestAttentionMassSnapshot:
     """The traced mass against sums written out from the attention weights.
 
     The tests stack an ml pair's two windows themselves, so they check the
-    layout handling of the snapshot as well as its arithmetic.
+    layout handling of the snapshot as well as its arithmetic. They run on
+    float64 parameters, where the identities hold to roundoff; the float32
+    case bounds the same identity by float32 rounding.
     """
 
-    def _setup(self, layout):
+    def _setup(self, layout, dtype=np.float64):
         cfg = small_cfg(layout=layout, time_mode="mix" if layout == "il" else "fine")
         store, _ = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)
-        params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=2).astype(dtype)
         # the first events meet empty windows, so some sequences have no valid token
         pairs = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in range(40)]
         return cfg, store, params, NeighborSampler(store), pairs
@@ -351,8 +370,9 @@ class TestAttentionMassSnapshot:
             return [np.concatenate([batch.token_ids[i], batch.token_ids[p + i]]) for i in range(p)]
         return list(batch.token_ids)
 
-    def test_masses_of_all_nodes_count_the_sequences(self, layout):
-        cfg, store, params, sampler, pairs = self._setup(layout)
+    def _mass_total(self, layout, dtype):
+        """(sum of mean mass x appearances over all nodes, sequences with a token, cfg)."""
+        cfg, store, params, sampler, pairs = self._setup(layout, dtype)
         masses = attention_mass_snapshot(
             params, cfg, store, sampler, pairs, range(store.num_nodes), batch_size=16
         )
@@ -361,8 +381,20 @@ class TestAttentionMassSnapshot:
             batch = featurize_pairs(*sample_pair_windows(sampler, pairs[start:start + 16], cfg), store, cfg)
             with_token += sum(bool((ids != PAD_ID).any()) for ids in self._sequences(batch, layout))
         assert 0 < with_token < len(pairs) * (1 if layout == "ml" else 2)
-        total = sum(mean * seen for mean, seen in masses.values())
+        return sum(mean * seen for mean, seen in masses.values()), with_token, cfg
+
+    def test_masses_of_all_nodes_count_the_sequences(self, layout):
+        total, with_token, _ = self._mass_total(layout, np.float64)
         assert total == pytest.approx(with_token, abs=1e-9)
+
+    def test_masses_of_all_nodes_count_the_sequences_float32(self, layout):
+        # per sequence of L slots, float32 rounding enters through a softmax
+        # row (L terms), the sum over heads x queries (J * L terms) and the
+        # sum over a node's slots (L terms): at most (J + 2) * L * eps each
+        total, with_token, cfg = self._mass_total(layout, np.float32)
+        seq_len = cfg.n_neighbors * (2 if layout == "ml" else 1)
+        bound = with_token * (cfg.heads + 2) * seq_len * np.finfo(np.float32).eps
+        assert total == pytest.approx(with_token, abs=bound)
 
     def test_one_node_by_hand(self, layout):
         cfg, store, params, sampler, pairs = self._setup(layout)
@@ -385,6 +417,83 @@ class TestAttentionMassSnapshot:
         assert mean == pytest.approx(np.mean(per_seq), rel=1e-12)
 
 
+def _float_arrays(obj, path):
+    """(path, array) of every floating-point array reachable through dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        if np.issubdtype(obj.dtype, np.floating):
+            yield path, obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _float_arrays(v, f"{path}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _float_arrays(v, f"{path}[{i}]")
+
+
+def _float32_representable(batch):
+    """The batch with every float column rounded to float32, still stored as float64."""
+    rounded = {
+        name: getattr(batch, name).astype(np.float32).astype(np.float64)
+        for name in ("h", "tmix", "counts", "season", "trend") if getattr(batch, name) is not None
+    }
+    return dataclasses.replace(batch, **rounded)
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+class TestComputeDtype:
+    """float32 parameters run the transformer in float32 end to end, and agree
+    with float64 on the same values to float32 rounding."""
+
+    def _setup(self, layout):
+        cfg = small_cfg(layout=layout, dropout=0.2)
+        store, batch, labels = tiny_batch(cfg)
+        return cfg, store, batch, labels
+
+    def test_no_silent_upcast(self, layout, monkeypatch):
+        cfg, store, batch, labels = self._setup(layout)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        assert params.dtype == np.float32
+        caches, grads = [], []
+        forward = tidegraph.model.forward_batch
+        add_grads = ModelParameters.add_grads
+
+        def recording_forward(*args, **kwargs):
+            probs, cache = forward(*args, **kwargs)
+            caches.append(cache)
+            return probs, cache
+
+        def recording_add_grads(self, prefix, block):
+            grads.extend((f"{prefix}.{k}", g) for k, g in block.items())
+            add_grads(self, prefix, block)
+
+        monkeypatch.setattr(tidegraph.model, "forward_batch", recording_forward)
+        monkeypatch.setattr(ModelParameters, "add_grads", recording_add_grads)
+        _, probs = loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+        assert probs.dtype == np.float64
+        assert batch.h.dtype == np.float64  # featurization stays float64
+        arrays = list(_float_arrays(caches[0], "cache"))
+        # dropout was active, so its masks are among the cached arrays
+        assert any("drop_scale" in path for path, _ in arrays)
+        assert len(grads) == len(params.grads)
+        wrong = [(path, a.dtype) for path, a in [*arrays, *grads, *params.grads.items()]
+                 if a.dtype != np.float32]
+        assert wrong == []
+
+    def test_float32_matches_float64(self, layout):
+        cfg, store, batch, labels = self._setup(layout)
+        batch = _float32_representable(batch)
+        p32 = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        p64 = p32.astype(np.float64)
+        for name, v in p32.values.items():
+            np.testing.assert_array_equal(p64.values[name], v)
+        _, probs32 = loss_and_grads(p32, cfg, batch, labels, training=True, rng=np.random.default_rng(3))
+        _, probs64 = loss_and_grads(p64, cfg, batch, labels, training=True, rng=np.random.default_rng(3))
+        np.testing.assert_allclose(probs32, probs64, rtol=0, atol=1e-5)
+        for name, g64 in p64.grads.items():
+            err = np.max(np.abs(p32.grads[name] - g64))
+            assert err <= 1e-4 * np.max(np.abs(g64)), name
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params, cfg, batch, labels = gradcheck_fixture()
@@ -401,6 +510,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded["values"][k], v)
         for k, v in state.m.items():
             np.testing.assert_array_equal(loaded["adam"]["m"][k], v)
+
+    def test_arrays_keep_the_compute_dtype(self, tmp_path):
+        # float32 parameters and Adam moments are stored as float32; a float64
+        # checkpoint restores into a float32 model by a cast
+        cfg = small_cfg()
+        store, batch, labels = tiny_batch(cfg)
+        p32 = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        state = AdamState.for_params(p32.values)
+        loss_and_grads(p32, cfg, batch, labels)
+        adam_step(p32.values, p32.grads, state, lr=1e-3)
+        save_checkpoint(tmp_path / "f32.npz", p32, state)
+        loaded = load_checkpoint(tmp_path / "f32.npz")
+        for group in (loaded["values"], loaded["adam"]["m"], loaded["adam"]["v"]):
+            assert {a.dtype for a in group.values()} == {np.dtype(np.float32)}
+
+        p64 = ModelParameters(cfg, store.d_n, store.d_e, seed=2).astype(np.float64)
+        save_checkpoint(tmp_path / "f64.npz", p64)
+        p32.restore(load_checkpoint(tmp_path / "f64.npz")["values"])
+        for k, v in p64.values.items():
+            assert p32.values[k].dtype == np.float32
+            np.testing.assert_array_equal(p32.values[k], v.astype(np.float32))
 
     def test_version_1_rejected(self, tmp_path):
         # version 1 also stored tensors that version 2 no longer allocates;

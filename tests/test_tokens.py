@@ -98,13 +98,16 @@ class TestInteractionTokens:
         params = ModelParameters(cfg, 0, 3, seed=1)
         v = params.values
         t, cache = _assemble_tokens(params, cfg, batch)
-        np.testing.assert_array_equal(t[..., :3], batch.h)
-        np.testing.assert_array_equal(t[..., 3:9], batch.tmix)
+        # the float64 encoder outputs are cast once to the compute dtype
+        cast = lambda a: a.astype(np.float32)
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t[..., :3], cast(batch.h))
+        np.testing.assert_array_equal(t[..., 3:9], cast(batch.tmix))
         assert cache["slices"] == {"bie": (9, 11), "season": (11, 13), "trend": (13, 15)}
-        bie, _ = nn.ffn_forward(batch.counts, v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
+        bie, _ = nn.ffn_forward(cast(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
         np.testing.assert_array_equal(t[..., 9:11], bie)
-        np.testing.assert_array_equal(t[..., 11:13], batch.season @ v["ste.ws"] + v["ste.bs"])
-        np.testing.assert_array_equal(t[..., 13:], batch.trend @ v["ste.wt"] + v["ste.bt"])
+        np.testing.assert_array_equal(t[..., 11:13], cast(batch.season) @ v["ste.ws"] + v["ste.bs"])
+        np.testing.assert_array_equal(t[..., 13:], cast(batch.trend) @ v["ste.wt"] + v["ste.bt"])
 
     def test_row_mismatch_rejected(self):
         cfg = _cfg()
@@ -145,7 +148,8 @@ class TestSingleNodeTokens:
         cfg = _cfg(layout="sl", mte=MteConfig(d_t=4))
         batch = _random_batch(np.random.default_rng(1), p=1, n=3, d=2, t=4, counts=False, ste=False)
         tokens, _ = _tokens(cfg, batch, d=2)
-        np.testing.assert_array_equal(tokens, np.concatenate([batch.h, batch.tmix], axis=-1))
+        expected = np.concatenate([batch.h, batch.tmix], axis=-1).astype(np.float32)
+        np.testing.assert_array_equal(tokens, expected)
 
 
 class TestMixedTokens:

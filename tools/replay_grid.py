@@ -1,4 +1,4 @@
-"""Fixed-seed replay grid: check that a change leaves training output bitwise equal.
+"""Fixed-seed replay grid: check that a change leaves training output bitwise equal, or within a tolerance.
 
 ``run OUT`` trains 12 models and writes each run's artifacts (``run.jsonl``,
 ``metrics.csv``, ``traces.csv``, ``checkpoint.npz``) to ``OUT/<corpus>-<layout>-<nss>/``.
@@ -14,6 +14,16 @@ epochs 0 and -1 with threshold 30.
 compares every checkpoint array bitwise (dtype, shape and bytes). It prints
 each difference and a total, and exits 1 if anything differs.
 
+``compare A B --tolerance REL,ABS`` is for a change that is meant to move the
+numbers a little (a new compute dtype, say). Per run it compares the
+per-epoch ``train_loss`` within REL relative, every AP and AUC (per-epoch
+validation, report and ``metrics.csv``) and the traced ``mean_mass`` within
+ABS absolute, and every checkpoint array, cast to float64, within
+``ABS + REL * |a|`` elementwise. Every other field (epochs, best epoch,
+positives, fallbacks, trace keys, array shapes, the checkpoint's meta
+record) must be equal. It prints the worst difference of each kind per run
+and exits 1 if any run is outside the bounds.
+
 The package is imported from ``--src`` (default: the ``src`` directory next
 to this file), so one copy of the script runs any checkout. To check a change
 against its parent commit::
@@ -23,22 +33,38 @@ against its parent commit::
     python tools/replay_grid.py run /tmp/grid-change
     python tools/replay_grid.py compare /tmp/grid-parent /tmp/grid-change
 
-A whole grid takes a few minutes on one core.
+The script holds numpy's BLAS at one thread, so a grid does not depend on
+the shell's thread settings. A whole grid takes a few minutes on one core.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads: a GEMM's summation order depends
+# on the thread count, so grids written under different counts differ in the
+# last bits and cannot be compared bitwise.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 CORPORA = ("cycle", "hotnode")
 LAYOUTS = ("il", "sl", "ml")
 NEGATIVES = ("random", "historical")
 TEXT_ARTIFACTS = ("run.jsonl", "metrics.csv", "traces.csv")
+# fields compared within the tolerance, by the kind reported: losses relative
+# (REL), AP/AUC and trace masses absolute (ABS)
+TOLERANCE_FIELDS = {
+    "train_loss": "loss", "ap": "ap/auc", "auc": "ap/auc", "val_ap": "ap/auc", "val_auc": "ap/auc",
+    "mean_mass": "mass",
+}
 D_T, BETA = 100, 10.0
 
 
@@ -78,31 +104,109 @@ def run(out: Path) -> None:
                 print(f"wrote {out / name}", flush=True)
 
 
+def _run_names():
+    return [f"{c}-{l}-{n}" for c in CORPORA for l in LAYOUTS for n in NEGATIVES]
+
+
 def compare(a: Path, b: Path) -> int:
     """Print every difference between two grids; return the number found."""
     compared, differ = 0, []
-    for corpus in CORPORA:
-        for layout in LAYOUTS:
-            for nss in NEGATIVES:
-                name = f"{corpus}-{layout}-{nss}"
-                for artifact in TEXT_ARTIFACTS:
-                    compared += 1
-                    pa, pb = a / name / artifact, b / name / artifact
-                    if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
-                        differ.append(f"{name}/{artifact}")
-                with np.load(a / name / "checkpoint.npz") as ca, np.load(b / name / "checkpoint.npz") as cb:
-                    for key in sorted(set(ca.files) | set(cb.files)):
-                        compared += 1
-                        if key not in ca.files or key not in cb.files:
-                            differ.append(f"{name}/checkpoint.npz:{key} (missing on one side)")
-                            continue
-                        xa, xb = ca[key], cb[key]
-                        if xa.dtype != xb.dtype or xa.shape != xb.shape or xa.tobytes() != xb.tobytes():
-                            differ.append(f"{name}/checkpoint.npz:{key}")
+    for name in _run_names():
+        for artifact in TEXT_ARTIFACTS:
+            compared += 1
+            pa, pb = a / name / artifact, b / name / artifact
+            if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
+                differ.append(f"{name}/{artifact}")
+        with np.load(a / name / "checkpoint.npz") as ca, np.load(b / name / "checkpoint.npz") as cb:
+            for key in sorted(set(ca.files) | set(cb.files)):
+                compared += 1
+                if key not in ca.files or key not in cb.files:
+                    differ.append(f"{name}/checkpoint.npz:{key} (missing on one side)")
+                    continue
+                xa, xb = ca[key], cb[key]
+                if xa.dtype != xb.dtype or xa.shape != xb.shape or xa.tobytes() != xb.tobytes():
+                    differ.append(f"{name}/checkpoint.npz:{key}")
     for item in differ:
         print(f"differs: {item}")
     print(f"{compared} files and arrays compared, {len(differ)} differ")
     return len(differ)
+
+
+def _records(run_dir: Path) -> dict:
+    """The run's text artifacts parsed: run.jsonl lines, and CSV rows as dicts."""
+    out = {"run.jsonl": [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]}
+    for artifact in ("metrics.csv", "traces.csv"):
+        with open(run_dir / artifact, newline="") as fh:
+            out[artifact] = list(csv.DictReader(fh))
+    return out
+
+
+def _walk(a, b, path: str, key: str, worst: dict, mismatches: list) -> None:
+    """Compare two parsed records: fields of TOLERANCE_FIELDS raise ``worst``
+    to their difference, every other leaf must be equal."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            _walk(a[k], b[k], f"{path}.{k}", k, worst, mismatches)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", key, worst, mismatches)
+    elif key in TOLERANCE_FIELDS and a is not None and b is not None:
+        x, y = float(a), float(b)
+        kind = TOLERANCE_FIELDS[key]
+        diff = abs(x - y)
+        if kind == "loss" and diff:
+            diff /= max(abs(x), abs(y))
+        if not math.isfinite(diff):  # max() would drop a nan
+            mismatches.append(f"{path}: {a!r} vs {b!r}")
+        worst[kind] = max(worst[kind], diff)
+    elif a != b:
+        mismatches.append(f"{path}: {a!r} != {b!r}")
+
+
+def compare_within(a: Path, b: Path, rel: float, abs_: float) -> int:
+    """Print the worst difference of each kind per run; return the number of
+    runs outside the tolerance or with a field that must be equal and is not."""
+    failed = 0
+    print(f"{'run':<24} {'loss rel':>9} {'ap/auc abs':>10} {'mass abs':>9} {'ckpt abs':>9}")
+    for name in _run_names():
+        worst = {"loss": 0.0, "ap/auc": 0.0, "mass": 0.0, "ckpt": 0.0}
+        mismatches: list[str] = []
+        _walk(_records(a / name), _records(b / name), name, "", worst, mismatches)
+        ckpt_ok = True
+        with np.load(a / name / "checkpoint.npz") as ca, np.load(b / name / "checkpoint.npz") as cb:
+            if sorted(ca.files) != sorted(cb.files):
+                mismatches.append(f"{name}/checkpoint.npz: arrays {sorted(set(ca.files) ^ set(cb.files))} on one side")
+            for key in sorted(set(ca.files) & set(cb.files)):
+                xa, xb = ca[key], cb[key]
+                if key == "meta":
+                    if str(xa) != str(xb):
+                        mismatches.append(f"{name}/checkpoint.npz: meta {xa} != {xb}")
+                elif xa.shape != xb.shape:
+                    mismatches.append(f"{name}/checkpoint.npz:{key}: shape {xa.shape} != {xb.shape}")
+                elif xa.size:
+                    xa, xb = xa.astype(np.float64), xb.astype(np.float64)
+                    diff = np.abs(xa - xb)
+                    worst["ckpt"] = max(worst["ckpt"], float(diff.max()))
+                    ckpt_ok &= bool(np.all(diff <= abs_ + rel * np.abs(xa)))
+        within = worst["loss"] <= rel and worst["ap/auc"] <= abs_ and worst["mass"] <= abs_ and ckpt_ok
+        ok = within and not mismatches
+        failed += not ok
+        print(f"{name:<24} {worst['loss']:>9.2e} {worst['ap/auc']:>10.2e} {worst['mass']:>9.2e} "
+              f"{worst['ckpt']:>9.2e}  {'ok' if ok else 'OUTSIDE'}")
+        for item in mismatches:
+            print(f"  differs: {item}")
+    print(f"{len(_run_names())} runs compared at rel {rel:g}, abs {abs_:g}; {failed} outside")
+    return failed
+
+
+def _tolerance(text: str) -> tuple[float, float]:
+    try:
+        rel, abs_ = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected REL,ABS, got {text!r}") from None
+    if not (rel >= 0 and abs_ >= 0):
+        raise argparse.ArgumentTypeError(f"REL and ABS must be non-negative, got {text!r}")
+    return rel, abs_
 
 
 def main(argv=None) -> int:
@@ -115,11 +219,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two grids written by run")
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
+    p.add_argument("--tolerance", type=_tolerance, metavar="REL,ABS",
+                   help="compare losses, AP/AUC, trace masses and checkpoints within these "
+                        "bounds instead of bitwise")
     args = parser.parse_args(argv)
     if args.command == "run":
         sys.path.insert(0, str(args.src.resolve()))
         run(args.out)
         return 0
+    if args.tolerance is not None:
+        return 1 if compare_within(args.a, args.b, *args.tolerance) else 0
     return 1 if compare(args.a, args.b) else 0
 
 
