@@ -21,15 +21,30 @@ the FFN and its two-layer uses as the count lift and the link head, the
 season and trend embeddings) goes through :func:`linear_forward` and
 :func:`linear_backward`; the two-layer maps are :func:`ffn_forward` at
 dropout rate 0, where dropout is the identity and draws no random numbers.
+
+Workspace contract: the kernels write every large array (activations,
+forward caches, backward temporaries) into a :class:`Workspace` with
+``out=`` and in-place ufuncs, so a run of same-sized steps allocates no
+large array after its first step. Forward kernels take ``ws`` and a
+``key`` naming the call site and write their caches under that key; the
+caches carry the workspace to the backward kernel. A forward cache
+therefore stays valid until the next forward with the same workspace and
+key. Outputs that no cache keeps (the attention and FFN outputs, every
+backward output) and temporaries live under keys shared by every call of
+the same kernel: an output stays valid until the next call of the kernel
+that made it. The in-place forms do the arithmetic of the allocating forms
+in the same order, so their results are bitwise the same. With ``ws=None``
+a kernel uses a fresh workspace, which allocates every array.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
 __all__ = [
+    "Workspace",
     "sigmoid",
     "masked_softmax",
     "masked_softmax_backward",
@@ -51,6 +66,43 @@ __all__ = [
 ]
 
 LN_EPS = 1e-5
+# Dropout uniforms are drawn this many at a time into one reused buffer.
+UNIFORM_CHUNK = 1 << 16
+# Workspace keys shared by calls whose arrays never live at the same time.
+# The wide slot holds the FFN's transient dropout scale (forward), the FFN's
+# hidden gradient (backward) and the attention's per-head dx term (backward);
+# the row slot holds the LayerNorm temporary and the readout's masked rows.
+_WIDE = "scratch.wide"
+_ROWS = "scratch.rows"
+
+
+class Workspace:
+    """Scratch arrays reused across calls, one per key.
+
+    :meth:`get` returns a C-contiguous array of the requested shape and
+    dtype with undefined contents, valid until the next :meth:`get` of the
+    same key. The storage behind a key is allocated on its first request and
+    replaced only by a larger one (or one of another dtype), so it grows to
+    the largest batch seen and never shrinks.
+    """
+
+    def __init__(self):
+        self._store: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple, dtype) -> np.ndarray:
+        size = prod(shape)
+        buf = self._store.get(key)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._store[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self._store.values())
+
+
+def _workspace(ws):
+    return Workspace() if ws is None else ws
 
 
 def sigmoid(x):
@@ -63,70 +115,106 @@ def sigmoid(x):
     return out
 
 
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, mask: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-normalize scores over valid key columns.
 
     ``scores`` has shape (..., L, L) and ``mask`` (..., L) flags valid keys.
     Masked columns get zero weight; rows with at least one valid key sum to
-    one; rows with none are all-zero.
+    one; rows with none are all-zero. The result is written to ``out``,
+    which may be ``scores`` itself.
     """
-    valid = np.broadcast_to(np.asarray(mask, dtype=bool)[..., None, :], scores.shape)
-    neg = np.where(valid, scores, -np.inf)
-    peak = np.max(neg, axis=-1, keepdims=True)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    expd = np.where(valid, np.exp(neg - safe_peak), 0.0)
-    total = expd.sum(axis=-1, keepdims=True)
-    return np.divide(expd, total, out=np.zeros_like(expd), where=total > 0)
+    if out is None:
+        out = np.empty_like(scores)
+    if out is not scores:
+        out[...] = scores
+    # where(valid, scores, -inf); exp(-inf - peak) is then the 0 of a masked column
+    np.copyto(out, -np.inf, where=~np.asarray(mask, dtype=bool)[..., None, :])
+    peak = out.max(axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    out -= peak
+    np.exp(out, out=out)
+    total = out.sum(axis=-1, keepdims=True)
+    return np.divide(out, total, out=out, where=total > 0)
 
 
-def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray) -> np.ndarray:
-    inner = (grad * attn).sum(axis=-1, keepdims=True)
-    return attn * (grad - inner)
+def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray, *, ws: Workspace | None = None) -> np.ndarray:
+    """``attn * (grad - sum(grad * attn))``, written over ``grad``."""
+    product = _workspace(ws).get("scratch.softmax", grad.shape, grad.dtype)
+    inner = np.multiply(grad, attn, out=product).sum(axis=-1, keepdims=True)
+    grad -= inner
+    grad *= attn
+    return grad
 
 
-def dropout_forward(x, rate, rng, training):
-    """Inverted dropout; identity (cache None) when inactive."""
+def dropout_forward(x, rate, rng, training, *, ws=None, key="dropout", out=None):
+    """Inverted dropout; identity (cache None) when inactive.
+
+    The per-unit scale, ``(u >= rate) / (1 - rate)`` for uniforms ``u``, is
+    the cache; it is written to the workspace under ``key``, and the dropped
+    units to ``out``, which may be ``x``. The uniforms are drawn
+    :data:`UNIFORM_CHUNK` at a time into one reused float64 buffer, which is
+    the same stream as one draw of ``x.shape``.
+    """
     if not training or rate == 0.0:
         return x, None
-    keep = 1.0 - rate
-    scale = (rng.random(x.shape) >= rate).astype(x.dtype) / keep
-    return x * scale, scale
+    ws = _workspace(ws)
+    scale = ws.get(key, x.shape, x.dtype)
+    flat = scale.reshape(-1)
+    for a in range(0, flat.size, UNIFORM_CHUNK):
+        part = flat[a : a + UNIFORM_CHUNK]
+        uniforms = rng.random(out=ws.get("scratch.uniform", part.shape, np.float64))
+        np.greater_equal(uniforms, rate, out=part)
+    scale /= 1.0 - rate
+    return np.multiply(x, scale, out=out), scale
 
 
 def dropout_backward(grad, scale):
-    return grad if scale is None else grad * scale
+    """``grad * scale``, written over ``grad``."""
+    return grad if scale is None else np.multiply(grad, scale, out=grad)
 
 
-def linear_forward(x, w, b):
-    """``x @ w + b`` over any leading axes; the cache is ``x``."""
-    return x @ w + b, x
+def linear_forward(x, w, b, *, out=None):
+    """``x @ w + b`` over any leading axes, into ``out``; the cache is ``x``."""
+    y = np.matmul(x, w, out=out)
+    y += b
+    return y, x
 
 
-def linear_backward(grad, x, w):
-    """Gradients (dx, dw, db) of :func:`linear_forward`, leading axes summed."""
+def linear_backward(grad, x, w, *, out=None, need_dx=True):
+    """Gradients (dx, dw, db) of :func:`linear_forward`, leading axes summed;
+    dx is written to ``out``, or skipped (None) when ``need_dx`` is false."""
     flat_g = grad.reshape(-1, grad.shape[-1])
     dw = x.reshape(-1, x.shape[-1]).T @ flat_g
-    return grad @ w.T, dw, flat_g.sum(axis=0)
+    dx = np.matmul(grad, w.T, out=out) if need_dx else None
+    return dx, dw, flat_g.sum(axis=0)
 
 
-def layer_norm_forward(x, gain, bias, eps=LN_EPS):
+def layer_norm_forward(x, gain, bias, eps=LN_EPS, *, ws=None, key="ln"):
+    ws = _workspace(ws)
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=ws.get(f"{key}.xhat", x.shape, x.dtype))  # xc = x - mu
+    var = np.multiply(xhat, xhat, out=ws.get(_ROWS, x.shape, x.dtype)).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    xhat *= inv
+    y = np.multiply(gain, xhat, out=ws.get(f"{key}.y", x.shape, x.dtype))
+    y += bias
+    return y, (xhat, inv, gain, ws)
 
 
 def layer_norm_backward(grad, cache):
-    xhat, inv, gain = cache
-    d = xhat.shape[-1]
+    xhat, inv, gain, ws = cache
     flat_axes = tuple(range(grad.ndim - 1))
-    dgain = (grad * xhat).sum(axis=flat_axes)
+    tmp = ws.get(_ROWS, grad.shape, grad.dtype)
+    dgain = np.multiply(grad, xhat, out=tmp).sum(axis=flat_axes)
     dbias = grad.sum(axis=flat_axes)
-    gx = grad * gain
-    dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-    return dx, dgain, dbias
+    gx = np.multiply(grad, gain, out=ws.get("grad.ln.dx", grad.shape, grad.dtype))
+    # dx = inv * (gx - mean(gx) - xhat * mean(gx * xhat)), with both means taken first
+    gx_mean = gx.mean(axis=-1, keepdims=True)
+    proj = np.multiply(gx, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    gx -= gx_mean
+    gx -= np.multiply(xhat, proj, out=tmp)
+    gx *= inv
+    return gx, dgain, dbias
 
 
 def _head_view(w, x):
@@ -135,7 +223,7 @@ def _head_view(w, x):
 
 
 def multi_head_attention(
-    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False
+    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa"
 ):
     """Masked multi-head self-attention over one or a batch of windows.
 
@@ -147,20 +235,30 @@ def multi_head_attention(
     ``q``/``k``/``v`` (J, ..., L, d_k) and ``attn`` (the softmax weights,
     before dropout) and ``dropped`` (J, ..., L, L).
     """
-    scale = 1.0 / sqrt(wq.shape[-1])
-    q = x @ _head_view(wq, x)
-    k = x @ _head_view(wk, x)
-    v = x @ _head_view(wv, x)
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    attn = masked_softmax(scores, mask)
-    dropped, drop_scale = dropout_forward(attn, dropout_rate, rng, training)
-    context = dropped @ v
-    concat = np.moveaxis(context, 0, -2).reshape(x.shape[:-1] + (-1,))
-    y, _ = linear_forward(concat, wo, bo)
+    ws = _workspace(ws)
+    buf = lambda role, shape: ws.get(f"{key}.{role}", shape, x.dtype)
+    heads, d_head = wq.shape[0], wq.shape[-1]
+    head_shape = (heads,) + x.shape[:-1] + (d_head,)
+    scale = 1.0 / sqrt(d_head)
+    q = np.matmul(x, _head_view(wq, x), out=buf("q", head_shape))
+    k = np.matmul(x, _head_view(wk, x), out=buf("k", head_shape))
+    v = np.matmul(x, _head_view(wv, x), out=buf("v", head_shape))
+    attn = np.matmul(q, np.swapaxes(k, -1, -2), out=buf("attn", head_shape[:-1] + head_shape[-2:-1]))
+    attn *= scale
+    masked_softmax(attn, mask, out=attn)
+    dropped, drop_scale = dropout_forward(
+        attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale", out=buf("dropped", attn.shape)
+    )
+    # the output reuses the context's buffer, which is dead once copied to concat
+    scratch = lambda shape: ws.get("scratch.msa", shape, x.dtype)
+    context = np.matmul(dropped, v, out=scratch(head_shape))
+    concat = buf("concat", x.shape[:-1] + (heads * d_head,))
+    concat.reshape(x.shape[:-1] + (heads, d_head))[...] = np.moveaxis(context, 0, -2)
+    y, _ = linear_forward(concat, wo, bo, out=scratch(x.shape[:-1] + wo.shape[1:]))
     cache = {
         "x": x, "mask": mask, "q": q, "k": k, "v": v, "attn": attn,
         "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
-        "weights": (wq, wk, wv, wo), "scale": scale,
+        "weights": (wq, wk, wv, wo), "scale": scale, "ws": ws,
     }
     return y, cache
 
@@ -168,88 +266,119 @@ def multi_head_attention(
 def multi_head_attention_backward(grad, cache):
     x, q, k, v, attn, dropped = (cache[key] for key in ("x", "q", "k", "v", "attn", "dropped"))
     wq, wk, wv, wo = cache["weights"]
+    ws = cache["ws"]
+    buf = lambda role, shape: ws.get(f"grad.msa.{role}", shape, x.dtype)
     heads, d_head = wq.shape[0], wq.shape[-1]
     heads_t = lambda w: np.swapaxes(_head_view(w, x), -1, -2)
     flat_x = x.reshape(-1, x.shape[-1])
 
-    dconcat, dwo, dbo = linear_backward(grad, cache["concat"], wo)
+    dconcat, dwo, dbo = linear_backward(grad, cache["concat"], wo, out=buf("dconcat", cache["concat"].shape))
     dout = np.moveaxis(dconcat.reshape(x.shape[:-1] + (heads, d_head)), -2, 0)
-    ddropped = dout @ np.swapaxes(v, -1, -2)
-    dv = np.swapaxes(dropped, -1, -2) @ dout
+    ddropped = np.matmul(dout, np.swapaxes(v, -1, -2), out=buf("ddropped", attn.shape))
+    dv = np.matmul(np.swapaxes(dropped, -1, -2), dout, out=buf("dv", v.shape))
     dattn = dropout_backward(ddropped, cache["drop_scale"])
-    dscores = masked_softmax_backward(dattn, attn) * cache["scale"]
-    dq = dscores @ k
-    dk_ = np.swapaxes(dscores, -1, -2) @ q
+    dscores = masked_softmax_backward(dattn, attn, ws=ws)
+    dscores *= cache["scale"]
+    dq = np.matmul(dscores, k, out=buf("dq", q.shape))
+    dk_ = np.matmul(np.swapaxes(dscores, -1, -2), q, out=buf("dk", k.shape))
     head_rows = lambda arr: arr.reshape(heads, -1, d_head)
     dwq = flat_x.T @ head_rows(dq)
     dwk = flat_x.T @ head_rows(dk_)
     dwv = flat_x.T @ head_rows(dv)
-    dx_heads = dq @ heads_t(wq)
-    dx_heads += dk_ @ heads_t(wk)
-    dx_heads += dv @ heads_t(wv)
-    return dx_heads.sum(axis=0), {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
+    heads_x = (heads,) + x.shape
+    dx_heads = np.matmul(dq, heads_t(wq), out=buf("dx_heads", heads_x))
+    term = ws.get(_WIDE, heads_x, x.dtype)
+    dx_heads += np.matmul(dk_, heads_t(wk), out=term)
+    dx_heads += np.matmul(dv, heads_t(wv), out=term)
+    dx = dx_heads.sum(axis=0, out=buf("dx", x.shape))
+    return dx, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
 
 
-def ffn_forward(x, w1, b1, w2, b2, *, dropout_rate=0.0, rng=None, training=False):
-    """Affine -> rectifier -> dropout -> affine; at rate 0 a plain two-layer MLP."""
-    h, _ = linear_forward(x, w1, b1)
-    dropped, drop_scale = dropout_forward(np.maximum(h, 0.0), dropout_rate, rng, training)
-    y, _ = linear_forward(dropped, w2, b2)
-    return y, (x, h, dropped, drop_scale, w1, w2)
+def ffn_forward(x, w1, b1, w2, b2, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="ffn"):
+    """Affine -> rectifier -> dropout -> affine; at rate 0 a plain two-layer MLP.
+
+    The rectifier and dropout run in place on the hidden units, which the
+    cache holds once, after dropout: ``(x, hidden, ws, drop_scale, w1, w2)``.
+    ``drop_scale`` is the scalar 1 / (1 - rate) of the kept units, or None
+    without dropout; the full scale array is transient. The backward pass
+    needs no mask: a unit passes gradient where its cached value is
+    positive, and every other unit's gradient, kept or dropped, comes out
+    as a zero of the incoming gradient's sign, as through the full scale
+    (for every gradient whose product with the scale does not overflow).
+    """
+    ws = _workspace(ws)
+    hidden, _ = linear_forward(x, w1, b1, out=ws.get(f"{key}.hidden", x.shape[:-1] + w1.shape[1:], x.dtype))
+    np.maximum(hidden, 0.0, out=hidden)
+    hidden, drop_scale = dropout_forward(hidden, dropout_rate, rng, training, ws=ws, key=_WIDE, out=hidden)
+    if drop_scale is not None:
+        drop_scale = x.dtype.type(1.0) / (1.0 - dropout_rate)
+    y, _ = linear_forward(hidden, w2, b2, out=ws.get("scratch.ffn", x.shape[:-1] + w2.shape[1:], x.dtype))
+    return y, (x, hidden, ws, drop_scale, w1, w2)
 
 
 def ffn_backward(grad, cache):
-    x, h, dropped, drop_scale, w1, w2 = cache
-    ddropped, dw2, db2 = linear_backward(grad, dropped, w2)
-    dh = dropout_backward(ddropped, drop_scale) * (h > 0)
-    dx, dw1, db1 = linear_backward(dh, x, w1)
+    x, hidden, ws, drop_scale, w1, w2 = cache
+    dh, dw2, db2 = linear_backward(grad, hidden, w2, out=ws.get(_WIDE, hidden.shape, x.dtype))
+    # (grad * scale) * (pre-activation > 0)
+    if drop_scale is not None:
+        dh *= drop_scale
+    dh *= np.greater(hidden, 0.0, out=ws.get("grad.ffn.active", hidden.shape, bool))
+    dx, dw1, db1 = linear_backward(dh, x, w1, out=ws.get("grad.ffn.dx", x.shape, x.dtype))
     return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
-def transformer_layer_forward(x, mask, layer, *, dropout_rate=0.0, rng=None, training=False):
+def transformer_layer_forward(x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer"):
     """One pre-output block: LN(x + MSA(x)) then LN(.. + FFN(..)).
 
     ``layer`` is a mapping with keys wq, wk, wv, wo, bo, ln1_g, ln1_b,
-    ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b.
+    ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b. The residual sums are
+    written over the branch outputs, which no cache keeps.
     """
+    ws = _workspace(ws)
     msa, msa_cache = multi_head_attention(
         x, mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"], layer["bo"],
-        dropout_rate=dropout_rate, rng=rng, training=training,
+        dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
     )
-    x1, ln1_cache = layer_norm_forward(x + msa, layer["ln1_g"], layer["ln1_b"])
+    x1, ln1_cache = layer_norm_forward(
+        np.add(x, msa, out=msa), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1"
+    )
     f, ffn_cache = ffn_forward(
         x1, layer["ffn_w1"], layer["ffn_b1"], layer["ffn_w2"], layer["ffn_b2"],
-        dropout_rate=dropout_rate, rng=rng, training=training,
+        dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.ffn",
     )
-    y, ln2_cache = layer_norm_forward(x1 + f, layer["ln2_g"], layer["ln2_b"])
+    y, ln2_cache = layer_norm_forward(
+        np.add(x1, f, out=f), layer["ln2_g"], layer["ln2_b"], ws=ws, key=f"{key}.ln2"
+    )
     return y, {"msa": msa_cache, "ln1": ln1_cache, "ffn": ffn_cache, "ln2": ln2_cache}
 
 
 def transformer_layer_backward(grad, cache):
     dr2, dln2_g, dln2_b = layer_norm_backward(grad, cache["ln2"])
     dffn_x, ffn_grads = ffn_backward(dr2, cache["ffn"])
-    dx1 = dr2 + dffn_x
+    dx1 = np.add(dr2, dffn_x, out=dffn_x)
     dr1, dln1_g, dln1_b = layer_norm_backward(dx1, cache["ln1"])
     dmsa_x, msa_grads = multi_head_attention_backward(dr1, cache["msa"])
-    dx = dr1 + dmsa_x
+    dx = np.add(dr1, dmsa_x, out=dmsa_x)
     grads = {**msa_grads, "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b}
     grads.update({"ffn_" + k: g for k, g in ffn_grads.items()})
     return dx, grads
 
 
-def readout_forward(x, mask):
+def readout_forward(x, mask, *, ws=None):
     """Mean over valid rows: (..., L, h) + (..., L) -> (..., h); all-PAD -> 0."""
+    ws = _workspace(ws)
     m = np.asarray(mask, dtype=x.dtype)[..., None]
     counts = m.sum(axis=-2)
-    sums = (x * m).sum(axis=-2)
+    sums = np.multiply(x, m, out=ws.get(_ROWS, x.shape, x.dtype)).sum(axis=-2)
     y = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return y, (m, counts)
+    return y, (m, counts, ws)
 
 
 def readout_backward(grad, cache):
-    m, counts = cache
+    m, counts, ws = cache
     inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-    return (grad * inv)[..., None, :] * m
+    shape = m.shape[:-1] + grad.shape[-1:]
+    return np.multiply((grad * inv)[..., None, :], m, out=ws.get("grad.readout.dx", shape, grad.dtype))
 
 
 def bce_loss(p, y, eps=1e-12):

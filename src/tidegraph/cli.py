@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, TraceSpec, config_hash, load_config
+from .config import TraceSpec, config_hash, fit_time_encoder, read_config, run_config_from_dict
 from .errors import CheckFailure, ConfigError, DataError
 from .events import DatasetManifest, ingest_events, write_events
 from .harness import (
@@ -42,20 +42,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
 
 
-def _load_run(args) -> RunConfig:
-    run_cfg = load_config(args.config) if args.config else RunConfig()
+def _load(args, **changes):
+    """The run config and event store of a subcommand.
+
+    The config comes from ``--config`` (defaults without one), with the
+    command-line overrides and ``changes`` applied. When it leaves
+    ``model.mte.alpha`` unset, its time encoder is fitted to the data
+    (:func:`~.config.fit_time_encoder`): alpha from the stream's duration,
+    and the manifest's granularity and segment count where the config does
+    not give them.
+    """
+    raw = read_config(args.config) if args.config else {}
+    run_cfg = run_config_from_dict(raw)
     if args.seed is not None:
-        run_cfg = replace(run_cfg, train=replace(run_cfg.train, seed=args.seed))
+        changes["train"] = replace(run_cfg.train, seed=args.seed)
     if args.nss:
-        run_cfg = replace(run_cfg, nss=args.nss)
+        changes["nss"] = args.nss
     if args.setting:
-        run_cfg = replace(run_cfg, setting=args.setting)
-    return run_cfg
-
-
-def _load_store(args):
-    manifest = DatasetManifest.load(args.manifest) if args.manifest else None
-    return ingest_events(args.data, manifest)
+        changes["setting"] = args.setting
+    run_cfg = replace(run_cfg, **changes)
+    manifest = DatasetManifest.load(args.manifest) if args.manifest else DatasetManifest.beside(args.data)
+    store = ingest_events(args.data, manifest)
+    mte_raw = (raw.get("model") or {}).get("mte") or {}
+    if mte_raw.get("alpha") is None:
+        run_cfg = fit_time_encoder(run_cfg, store.duration_seconds, manifest, given=set(mte_raw))
+    return run_cfg, store
 
 
 def cmd_gen_synth(args) -> int:
@@ -73,16 +84,14 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run_cfg = _load_run(args)
-    store = _load_store(args)
+    run_cfg, store = _load(args)
     result = train(store, run_cfg, out_dir=args.out)
     print(json.dumps({"report": result.report}, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_eval(args) -> int:
-    run_cfg = _load_run(args)
-    store = _load_store(args)
+    run_cfg, store = _load(args)
     ckpt = load_checkpoint(args.checkpoint)
     params = ModelParameters(run_cfg.model, store.d_n, store.d_e, seed=run_cfg.train.seed)
     values = ckpt["values"]
@@ -115,8 +124,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    run_cfg = _load_run(args)
-    store = _load_store(args)
+    run_cfg, store = _load(args)
     rows = ablate(store, run_cfg, epochs=args.epochs)
     for row in rows:
         print(f"{row['layout']:>3} {row['variant']:>10}  width={row['token_width']:<5d} "
@@ -129,13 +137,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    run_cfg = _load_run(args)
     epochs = [0, -1] if not args.at_epochs else [int(e) for e in args.at_epochs.split(",")]
-    run_cfg = replace(
-        run_cfg,
-        trace=TraceSpec(threshold=args.threshold, epochs=epochs, layer=args.layer),
-    )
-    store = _load_store(args)
+    run_cfg, store = _load(args, trace=TraceSpec(threshold=args.threshold, epochs=epochs, layer=args.layer))
     result = train(store, run_cfg, out_dir=args.out)
     for rec in result.trace_records:
         print(f"epoch={rec.epoch:>3} node={rec.node:<6d} freq={rec.frequency:<6d} "

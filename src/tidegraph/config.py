@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
 from .encoders import MteConfig
 from .errors import ConfigError
-from .events import SplitSpec
+from .events import DatasetManifest, SplitSpec
 from .model import ModelConfig
 from .sampling import NegativeSamplingStrategy
 
-__all__ = ["TrainConfig", "TraceSpec", "RunConfig", "load_config", "run_config_from_dict", "config_hash"]
+__all__ = [
+    "TrainConfig", "TraceSpec", "RunConfig", "read_config", "load_config", "run_config_from_dict",
+    "fit_time_encoder", "config_hash",
+]
 
 _SETTING_ALIASES = {"trans": "transductive", "ind": "inductive"}
 
@@ -102,30 +105,53 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     raw = dict(raw or {})
     model_raw = dict(raw.get("model") or {})
     mte_raw = model_raw.pop("mte", None)
-    if mte_raw is not None:
-        model_raw["mte"] = MteConfig(**mte_raw)
     trace_raw = raw.get("trace")
-    return RunConfig(
-        model=ModelConfig(**model_raw),
-        train=TrainConfig(**(raw.get("train") or {})),
-        split=SplitSpec(**(raw.get("split") or {})),
-        nss=raw.get("nss", "random"),
-        setting=raw.get("setting", "transductive"),
-        trace=TraceSpec(**trace_raw) if trace_raw else None,
-    )
+    try:
+        if mte_raw is not None:
+            model_raw["mte"] = MteConfig(**mte_raw)
+        return RunConfig(
+            model=ModelConfig(**model_raw),
+            train=TrainConfig(**(raw.get("train") or {})),
+            split=SplitSpec(**(raw.get("split") or {})),
+            nss=raw.get("nss", "random"),
+            setting=raw.get("setting", "transductive"),
+            trace=TraceSpec(**trace_raw) if trace_raw else None,
+        )
+    except TypeError as exc:
+        raise ConfigError(f"bad config field: {exc}") from exc
 
 
-def load_config(path) -> RunConfig:
+def read_config(path) -> dict:
+    """The raw mapping of a YAML run config (empty for an empty file)."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    try:
-        return run_config_from_dict(raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    return run_config_from_dict(read_config(path))
+
+
+def fit_time_encoder(
+    run_cfg: RunConfig, duration_seconds: float, manifest: DatasetManifest | None = None, given=()
+) -> RunConfig:
+    """``run_cfg`` with its time encoder fitted to a dataset.
+
+    Alpha becomes :meth:`MteConfig.smallest_alpha` at the dataset's
+    duration, and a manifest's calendar granularity and segment count replace
+    the config's unless they are among the ``given`` field names. The CLI
+    applies this to configs that leave ``model.mte.alpha`` unset; a config
+    that sets alpha is used as written.
+    """
+    mte = run_cfg.model.mte
+    changes = {"alpha": mte.smallest_alpha(duration_seconds)}
+    if manifest is not None:
+        changes.update({k: getattr(manifest, k) for k in ("granularity", "r_segments") if k not in given})
+    return replace(run_cfg, model=replace(run_cfg.model, mte=replace(mte, **changes)))
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -19,7 +19,7 @@ these features live with the model parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -115,6 +115,15 @@ class MteConfig:
                 f"or lower beta"
             )
 
+    def smallest_alpha(self, delta_t_max: float) -> float:
+        """The smallest alpha, to 0.01, that passes :meth:`validate_decay` at
+        ``delta_t_max``; the current alpha where every alpha passes (a span
+        within the tolerance) or none does (``d_t`` = 1)."""
+        if self.d_t == 1 or delta_t_max <= DECAY_TOL:
+            return float(self.alpha)
+        exact = (delta_t_max / DECAY_TOL) ** (self.beta / (self.d_t - 1))
+        return ceil(exact * 100.0) / 100.0
+
 
 def encode_fine_time(delta_t, cfg: MteConfig) -> np.ndarray:
     """Cosine expansion of fine relative offsets; shape ``(..., d_t)``.
@@ -132,7 +141,8 @@ def encode_coarse_time(delta_t, cfg: MteConfig):
     """Calendar bucket(s) of the offset and the matching constant vector term.
 
     Returns ``(bucket, term)`` where ``bucket = floor(delta_t / divisor)`` and
-    ``term`` broadcasts ``bucket / R`` over d_t components.
+    ``term`` is a read-only view broadcasting ``bucket / R`` over d_t
+    components.
     """
     delta = np.asarray(delta_t, dtype=np.float64)
     if np.any(delta < 0):
@@ -140,7 +150,7 @@ def encode_coarse_time(delta_t, cfg: MteConfig):
     bucket = np.floor_divide(delta, cfg.divisor).astype(np.int64)
     term = np.broadcast_to(
         (bucket.astype(np.float64) / cfg.r_segments)[..., None], bucket.shape + (cfg.d_t,)
-    ).copy()
+    )
     if bucket.ndim == 0:
         return int(bucket), term
     return bucket, term

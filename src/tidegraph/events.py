@@ -53,6 +53,12 @@ class DatasetManifest:
             raw = json.load(fh)
         return cls(**raw)
 
+    @classmethod
+    def beside(cls, events_path) -> "DatasetManifest | None":
+        """The sidecar manifest of an event file (same stem, ``.json``), if any."""
+        sidecar = Path(events_path).with_suffix(".json")
+        return cls.load(sidecar) if sidecar.exists() else None
+
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
@@ -174,9 +180,7 @@ def ingest_events(path, manifest: DatasetManifest | None = None) -> EventStore:
     """
     path = Path(path)
     if manifest is None:
-        sidecar = path.with_suffix(".json")
-        if sidecar.exists():
-            manifest = DatasetManifest.load(sidecar)
+        manifest = DatasetManifest.beside(path)
 
     src, tgt, ts, labels, feats = [], [], [], [], []
     with open(path, newline="") as fh:

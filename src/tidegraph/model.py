@@ -13,6 +13,14 @@ encoders stay in float64, because the time encoding takes cos(omega * dt) of
 spans up to years, where a float32 ulp is seconds; :func:`_assemble_tokens`
 casts their output once. Logits are lifted back to float64 for the sigmoid
 and the loss, and :func:`grad_check` checks a float64 copy of the parameters.
+
+Every large array of a step (the token matrix, activations, forward caches
+and backward temporaries) lives in the parameters' :class:`~.attention.Workspace`
+(see :mod:`.attention` for its contract). So the cache that
+:func:`forward_batch` returns stays valid until the next forward on the same
+parameters, and a steady run of same-sized steps allocates no large array.
+The probabilities it returns, the gradients in ``params.grads`` and the
+:class:`PairBatch` arrays never share memory with the workspace.
 """
 
 from __future__ import annotations
@@ -137,7 +145,9 @@ class ModelParameters:
 
     Every tensor has the compute dtype ``dtype``, :data:`COMPUTE_DTYPE` as
     built; :meth:`astype` gives a copy in another dtype. The initial values
-    are drawn in float64 and then cast.
+    are drawn in float64 and then cast. ``workspace`` holds the step
+    buffers of :func:`forward_batch` and :func:`backward_batch`; it is empty
+    until the first forward, and every copy gets its own.
     """
 
     def __init__(self, cfg: ModelConfig, d_n: int, d_e: int, seed: int = 0):
@@ -184,6 +194,7 @@ class ModelParameters:
 
         self.values = {k: v.astype(self.dtype, copy=False) for k, v in vals.items()}
         self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.workspace = nn.Workspace()
 
     def astype(self, dtype) -> "ModelParameters":
         """A copy with every tensor cast to ``dtype`` and zero gradients."""
@@ -191,6 +202,7 @@ class ModelParameters:
         out.dtype = np.dtype(dtype)
         out.values = {k: v.astype(out.dtype) for k, v in self.values.items()}
         out.grads = {k: np.zeros_like(v) for k, v in out.values.items()}
+        out.workspace = nn.Workspace()
         return out
 
     def zero_grads(self) -> None:
@@ -307,61 +319,71 @@ def featurize_pairs(
 
 
 def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
-    """Token rows in the compute dtype; the float64 encoder outputs are cast
-    here, once, and the cast count and season/trend columns are what the
-    backward pass reads."""
-    cast = lambda a: a.astype(params.dtype, copy=False)
+    """Token rows in the compute dtype, in the workspace; the float64 encoder
+    outputs are cast straight into them, and the cast count and season/trend
+    columns are what the backward pass reads."""
+    ws = params.workspace
     v = params.values
-    blocks = [cast(batch.h)]
-    slices = {}
-    offset = batch.h.shape[-1]
-    cache = {}
+
+    def cast(a, key):
+        out = ws.get(key, a.shape, params.dtype)
+        out[...] = a
+        return out
+
+    blocks = [batch.h]
     if cfg.time_mode != "none":
-        blocks.append(cast(batch.tmix))
-        offset += batch.tmix.shape[-1]
+        blocks.append(batch.tmix)
+    named = []
+    cache = {}
     if cfg.bie_active:
-        emb, bie_cache = nn.ffn_forward(
-            cast(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"]
+        emb, cache["bie"] = nn.ffn_forward(
+            cast(batch.counts, "bie.counts"), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"],
+            ws=ws, key="bie",
         )
-        blocks.append(emb)
-        slices["bie"] = (offset, offset + cfg.d_b)
-        cache["bie"] = bie_cache
-        offset += cfg.d_b
+        named.append(("bie", emb))
     if cfg.ste_active:
-        s_emb, cache["season"] = nn.linear_forward(cast(batch.season), v["ste.ws"], v["ste.bs"])
-        t_emb, cache["trend"] = nn.linear_forward(cast(batch.trend), v["ste.wt"], v["ste.bt"])
-        blocks.append(s_emb)
-        blocks.append(t_emb)
-        slices["season"] = (offset, offset + cfg.d_s)
-        slices["trend"] = (offset + cfg.d_s, offset + cfg.d_s + cfg.d_tr)
-        offset += cfg.d_s + cfg.d_tr
-    tokens = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
+        for name, w, b in (("season", "ste.ws", "ste.bs"), ("trend", "ste.wt", "ste.bt")):
+            x = cast(getattr(batch, name), f"{name}.x")
+            out = ws.get(f"{name}.y", x.shape[:-1] + v[w].shape[1:], params.dtype)
+            emb, cache[name] = nn.linear_forward(x, v[w], v[b], out=out)
+            named.append((name, emb))
+    slices = {}
+    offset = sum(b.shape[-1] for b in blocks)
+    for name, emb in named:
+        slices[name] = (offset, offset + emb.shape[-1])
+        offset += emb.shape[-1]
     expected = cfg.token_width(batch.h.shape[-1], 0)
-    if tokens.shape[-1] != expected:
-        raise CheckFailure(f"token width {tokens.shape[-1]} != expected {expected}")
+    if offset != expected:
+        raise CheckFailure(f"token width {offset} != expected {expected}")
+    tokens = ws.get("tokens", batch.h.shape[:-1] + (offset,), params.dtype)
+    np.concatenate(blocks + [emb for _, emb in named], axis=-1, out=tokens)
     cache["slices"] = slices
     return tokens, cache
 
 
-def to_sequences(rows: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+def to_sequences(rows: np.ndarray, cfg: ModelConfig, *, ws: nn.Workspace | None = None, key: str = "") -> np.ndarray:
     """Window rows (2P, n, ...) to transformer sequences.
 
     Layouts il and sl attend within each window, so the rows are the
     sequences. Layout ml sets a pair's two windows side by side in one
-    (P, 2n, ...) sequence, source block first (DyGFormer's patch stacking).
+    (P, 2n, ...) sequence, source block first (DyGFormer's patch stacking),
+    written to ``ws`` under ``key`` when a workspace is given.
     """
     if cfg.layout != "ml":
         return rows
     p = len(rows) // 2
-    return np.concatenate([rows[:p], rows[p:]], axis=1)
+    out = None if ws is None else ws.get(key, (p, 2 * rows.shape[1]) + rows.shape[2:], rows.dtype)
+    return np.concatenate([rows[:p], rows[p:]], axis=1, out=out)
 
 
-def to_window_rows(seqs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Inverse of :func:`to_sequences`: transformer sequences to (2P, n, ...) window rows."""
+def to_window_rows(seqs: np.ndarray, cfg: ModelConfig, *, ws: nn.Workspace | None = None, key: str = "") -> np.ndarray:
+    """Inverse of :func:`to_sequences`: transformer sequences to (2P, n, ...)
+    window rows, written to ``ws`` under ``key`` when a workspace is given."""
     if cfg.layout != "ml":
         return seqs
     n = seqs.shape[1] // 2
-    return np.concatenate([seqs[:, :n], seqs[:, n:]], axis=0)
+    out = None if ws is None else ws.get(key, (2 * len(seqs), n) + seqs.shape[2:], seqs.dtype)
+    return np.concatenate([seqs[:, :n], seqs[:, n:]], axis=0, out=out)
 
 
 def forward_batch(
@@ -372,26 +394,33 @@ def forward_batch(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """Score every pair in the batch; returns (probabilities, cache)."""
+    """Score every pair in the batch; returns (probabilities, cache).
+
+    The cache lives in ``params.workspace`` and stays valid until the next
+    forward on ``params``; the probabilities are a fresh array.
+    """
     p = batch.num_pairs
+    ws = params.workspace
     tokens, asm_cache = _assemble_tokens(params, cfg, batch)
-    x = to_sequences(tokens, cfg)
+    x = to_sequences(tokens, cfg, ws=ws, key="tokens.seq")
     mask = to_sequences(batch.mask, cfg)
 
-    x, proj_in = nn.linear_forward(x, params.values["input.w"], params.values["input.b"])
+    w_in = params.values["input.w"]
+    out = ws.get("input.y", x.shape[:-1] + w_in.shape[1:], params.dtype)
+    x, proj_in = nn.linear_forward(x, w_in, params.values["input.b"], out=out)
     layer_caches = []
     for l in range(cfg.layers):
         x, cache_l = nn.transformer_layer_forward(
             x, mask, params.layer_view(l),
-            dropout_rate=cfg.dropout, rng=rng, training=training,
+            dropout_rate=cfg.dropout, rng=rng, training=training, ws=ws, key=f"layers.{l}",
         )
         layer_caches.append(cache_l)
 
-    emb, readout_cache = nn.readout_forward(to_window_rows(x, cfg), batch.mask)
+    emb, readout_cache = nn.readout_forward(to_window_rows(x, cfg, ws=ws, key="readout.rows"), batch.mask, ws=ws)
     pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
     logit2d, link_cache = nn.ffn_forward(
         pair_emb, params.values["link.w1"], params.values["link.b1"],
-        params.values["link.w2"], params.values["link.b2"],
+        params.values["link.w2"], params.values["link.b2"], ws=ws, key="link",
     )
     logits = logit2d[:, 0]
     probs = nn.sigmoid(logits)
@@ -413,26 +442,30 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
     dpair, link_grads = nn.ffn_backward(dlogits[:, None], cache["link"])
     params.add_grads("link", link_grads)
     demb = np.concatenate(np.split(dpair, 2, axis=-1))  # source rows, then target rows
-    dx = to_sequences(nn.readout_backward(demb, cache["readout"]), cfg)
+    ws = params.workspace
+    dx = to_sequences(nn.readout_backward(demb, cache["readout"]), cfg, ws=ws, key="grad.readout.seq")
 
     for l in reversed(range(cfg.layers)):
         dx, layer_grads = nn.transformer_layer_backward(dx, cache["layers"][l])
         params.add_grads(f"layers.{l}", layer_grads)
 
-    dx, dw, db = nn.linear_backward(dx, cache["proj_in"], params.values["input.w"])
-    params.add_grads("input", {"w": dw, "b": db})
-    dtokens = to_window_rows(dx, cfg)
-
     asm = cache["asm"]
     slices = asm["slices"]
+    x_in = cache["proj_in"]
+    # only the learned token blocks of layout il need the token gradient
+    dtokens, dw, db = nn.linear_backward(
+        dx, x_in, params.values["input.w"], need_dx=bool(slices),
+        out=ws.get("grad.input.dx", x_in.shape, params.dtype) if slices else None,
+    )
+    params.add_grads("input", {"w": dw, "b": db})
     if "bie" in slices:
         a, b = slices["bie"]
         params.add_grads("bie", nn.ffn_backward(dtokens[..., a:b], asm["bie"])[1])
     if "season" in slices:
         a, b = slices["season"]
-        _, dws, dbs = nn.linear_backward(dtokens[..., a:b], asm["season"], params.values["ste.ws"])
+        _, dws, dbs = nn.linear_backward(dtokens[..., a:b], asm["season"], params.values["ste.ws"], need_dx=False)
         a, b = slices["trend"]
-        _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], asm["trend"], params.values["ste.wt"])
+        _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], asm["trend"], params.values["ste.wt"], need_dx=False)
         params.add_grads("ste", {"ws": dws, "bs": dbs, "wt": dwt, "bt": dbt})
 
 

@@ -10,8 +10,9 @@ import pytest
 import tidegraph.cli
 import tidegraph.harness
 from tidegraph.cli import main
-from tidegraph.config import RunConfig, config_hash, load_config
+from tidegraph.config import RunConfig, config_hash, fit_time_encoder, load_config
 from tidegraph.errors import ConfigError
+from tidegraph.synth import generate_cycle_corpus
 
 
 def _error_line(capsys):
@@ -38,15 +39,44 @@ def test_gradcheck_batch_beyond_fixture_corpus(capsys, batch):
 
 
 def test_train_default_config_on_synthetic_corpus(tmp_path, capsys):
-    # the default time encoder cannot resolve this corpus's span; the user
-    # gets the decay condition and the alpha that would satisfy it
+    # the default model on a bundled corpus: with alpha unset, the time
+    # encoder is fitted to the stream (alpha from its duration, granularity
+    # and segments from its manifest), so train and eval both run
     data = tmp_path / "c.csv"
     assert main(["gen-synth", "--events", "2000", "--out", str(data)]) == 0
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("train: {epochs: 1}\n")
     capsys.readouterr()
-    assert main(["train", "--data", str(data)]) == 2
-    line = _error_line(capsys)
-    assert line.startswith("tidegraph train: error:")
-    assert "raise alpha above" in line
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["epochs_run"] == 1
+    assert main(["eval", "--data", str(data), "--config", str(cfg), "--checkpoint", str(out / "checkpoint.npz")]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert evaluated["config_hash"] == report["config_hash"]
+    assert evaluated["test"] == report["test"]
+
+
+def test_time_encoder_fitted_only_when_alpha_unset(tmp_path, capsys):
+    store, manifest = generate_cycle_corpus(num_events=400, seed=0)
+    run_cfg = RunConfig()
+    fitted = fit_time_encoder(run_cfg, store.duration_seconds, manifest)
+    mte = fitted.model.mte
+    assert (mte.granularity, mte.r_segments) == (manifest.granularity, manifest.r_segments)
+    mte.validate_decay(store.duration_seconds)
+    with pytest.raises(ConfigError, match="raise alpha above"):
+        replace(mte, alpha=mte.alpha - 0.01).validate_decay(store.duration_seconds)
+    # a segment count the config gives is kept
+    kept = fit_time_encoder(run_cfg, store.duration_seconds, manifest, given={"r_segments"})
+    assert kept.model.mte.r_segments == run_cfg.model.mte.r_segments
+    # a config that sets alpha is used as written, hash included
+    data = tmp_path / "c.csv"
+    assert main(["gen-synth", "--events", "400", "--out", str(data)]) == 0
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("model: {mte: {alpha: 10.0}}\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--config", str(cfg)]) == 2
+    assert "raise alpha above" in _error_line(capsys)
 
 
 def test_eval_rejects_version_1_checkpoint(tmp_path, capsys):

@@ -1,0 +1,140 @@
+"""The step workspace: reuse never changes a result, and a warm step allocates little.
+
+``ModelParameters.workspace`` holds every large array of a training or
+evaluation step. A buffer grows to the largest batch seen and is reused by
+every later step, so these tests check that whatever ran before (a larger
+batch, a smaller one, an evaluation of another size) leaves probabilities and
+gradients bitwise unchanged, that nothing handed to the caller lives in the
+workspace, and, with ``tracemalloc``, that a warm step allocates a small
+fraction of what it did when every step allocated its own arrays.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tidegraph.config import RunConfig, fit_time_encoder
+from tidegraph.encoders import MteConfig
+from tidegraph.harness import build_scoring_batch, sample_pair_windows
+from tidegraph.model import ModelConfig, ModelParameters, featurize_pairs, forward_batch, loss_and_grads, predict_probs
+from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
+from tidegraph.synth import generate_cycle_corpus
+
+MIB = 2**20
+# tracemalloc's fresh peak of one warm loss_and_grads on the budget batch
+# below (il, 100 pairs, n = 20, h = 64) when every step allocated its own
+# arrays: 64.6 MiB. A warm step must now stay under BUDGET, and the
+# workspace, which is resident for the whole run, under the old peak.
+ALLOCATING_PEAK = 64.6 * MIB
+BUDGET = 8 * MIB
+
+
+def _cfg(layout, **kw):
+    args = dict(
+        n_neighbors=5, hidden=8, layers=2, heads=2, dropout=0.2, layout=layout,
+        time_mode="mix" if layout == "il" else "fine", d_b=3, d_s=2, d_tr=2, ste_window=3,
+        mte=MteConfig(d_t=6, alpha=26.0, beta=10.0, granularity="weekly", r_segments=4),
+    )
+    args.update(kw)
+    return ModelConfig(**args)
+
+
+def _store():
+    return generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)[0]
+
+
+def _batch(store, cfg, events):
+    """A scoring batch of the positives ``events`` plus one negative each."""
+    pos = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in events]
+    neg, _ = NegativeSampler(store, NegativeSamplingStrategy("random", seed=1)).sample(pos)
+    return build_scoring_batch(NeighborSampler(store), store, cfg, pos, neg, np.random.default_rng(0))
+
+
+def _step(params, cfg, batch, labels):
+    _, probs = loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(3))
+    return probs, {k: g.copy() for k, g in params.grads.items()}
+
+
+def _buffers(params):
+    return list(params.workspace._store.values())
+
+
+def _aliases(array, params):
+    return any(np.shares_memory(array, buf) for buf in _buffers(params))
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+@pytest.mark.parametrize("first_use", ["larger batch", "smaller batch", "evaluation"])
+def test_reuse_is_bitwise_invisible(layout, first_use):
+    cfg = _cfg(layout)
+    store = _store()
+    # the first events have no history: their windows are all PAD
+    batch, labels = _batch(store, cfg, [0, 1, 147, 148, 149])
+    fresh = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    want_probs, want_grads = _step(fresh, cfg, batch, labels)
+
+    used = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    if first_use == "evaluation":
+        predict_probs(used, cfg, _batch(store, cfg, range(130, 137))[0])
+    else:
+        other, other_labels = _batch(store, cfg, range(100, 109 if first_use == "larger batch" else 102))
+        _step(used, cfg, other, other_labels)
+    probs, grads = _step(used, cfg, batch, labels)
+    np.testing.assert_array_equal(probs, want_probs)
+    for name, g in want_grads.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_nothing_handed_out_lives_in_the_workspace(layout):
+    cfg = _cfg(layout)
+    store = _store()
+    sampler = NeighborSampler(store)
+    pairs = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in range(140, 146)]
+    seq_pairs, index = sample_pair_windows(sampler, pairs, cfg)
+    batch = featurize_pairs(seq_pairs, index, store, cfg)
+    labels = np.ones(len(pairs))
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    assert _buffers(params) == []  # allocated by the first forward, not the constructor
+    probs, _ = forward_batch(params, cfg, batch, training=True, rng=np.random.default_rng(0))
+    _, loss_probs = loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+    eval_probs = predict_probs(params, cfg, batch)
+    assert _buffers(params)
+    for name, array in [("forward", probs), ("loss_and_grads", loss_probs), ("predict_probs", eval_probs),
+                        *params.grads.items(), *vars(batch).items()]:
+        if isinstance(array, np.ndarray):
+            assert not _aliases(array, params), name
+
+    copy = params.astype(np.float64)
+    loss_and_grads(copy, cfg, batch, labels)
+    assert copy.workspace is not params.workspace
+    assert _buffers(copy)
+    assert not any(np.shares_memory(a, b) for a in _buffers(copy) for b in _buffers(params))
+
+
+def _budget_batch():
+    """A batch shaped like the benchmark's cycle-train step: layout il with
+    MTE, BIE and STE at the default sizes, 50 positives and 50 negatives,
+    windows of 20 and 16 edge features."""
+    store, manifest = generate_cycle_corpus(num_sources=20, num_targets=60, num_events=500, seed=1, d_e=16)
+    run_cfg = fit_time_encoder(RunConfig(), store.duration_seconds, manifest)
+    cfg = run_cfg.model
+    batch, labels = _batch(store, cfg, range(300, 350))
+    return ModelParameters(cfg, store.d_n, store.d_e, seed=1), cfg, batch, labels
+
+
+def test_warm_step_allocation_budget():
+    params, cfg, batch, labels = _budget_batch()
+    assert batch.h.shape[:2] == (200, 20)
+    for _ in range(2):
+        loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < BUDGET, f"a warm step allocated a fresh peak of {peak / MIB:.2f} MiB"
+    assert params.workspace.nbytes <= ALLOCATING_PEAK, f"workspace {params.workspace.nbytes / MIB:.2f} MiB"
