@@ -35,6 +35,16 @@ the same kernel: an output stays valid until the next call of the kernel
 that made it. The in-place forms do the arithmetic of the allocating forms
 in the same order, so their results are bitwise the same. With ``ws=None``
 a kernel uses a fresh workspace, which allocates every array.
+
+Packed rows: the transformer layer and the readout take the valid slots of
+a (..., L) window grid as an (R, h) row matrix, R = ``mask.sum()``, in the
+C order of ``mask``; PAD slots have no row. The LayerNorms, the residual
+sums, the FFN and its dropout, the readout and all their gradients work on
+those R rows. Only :func:`multi_head_attention` computes on the padded
+(..., L, h) grid: the layer scatters its rows into a zero-PAD grid, which
+the attention cache keeps, and gathers the attention's output rows back;
+the backward pass does the same with the gradient. The readout sums its
+rows on such a grid too, in a buffer shared with the attention's output.
 """
 
 from __future__ import annotations
@@ -71,9 +81,13 @@ UNIFORM_CHUNK = 1 << 16
 # Workspace keys shared by calls whose arrays never live at the same time.
 # The wide slot holds the FFN's transient dropout scale (forward), the FFN's
 # hidden gradient (backward) and the attention's per-head dx term (backward);
-# the row slot holds the LayerNorm temporary and the readout's masked rows.
+# the row slot holds the LayerNorm temporary; the grid slot, of the padded
+# (..., L, h) size, holds the attention's context and output (forward), the
+# readout's scattered rows (forward) and a layer's scattered gradient
+# (backward).
 _WIDE = "scratch.wide"
 _ROWS = "scratch.rows"
+_GRID = "scratch.grid"
 
 
 class Workspace:
@@ -84,16 +98,25 @@ class Workspace:
     same key. The storage behind a key is allocated on its first request and
     replaced only by a larger one (or one of another dtype), so it grows to
     the largest batch seen and never shrinks.
+
+    ``row_capacity`` is the most rows a packed row matrix of the current
+    step can have: the slot count of its padded grid. Every 2-D request is
+    such a (rows, d) matrix; when its storage must grow, it is sized for
+    ``row_capacity`` rows, so the count of valid rows, which varies from
+    batch to batch, does not reallocate it. Rows past the requested ones are
+    never touched, so they take no resident memory.
     """
 
     def __init__(self):
         self._store: dict[str, np.ndarray] = {}
+        self.row_capacity = 0
 
     def get(self, key: str, shape: tuple, dtype) -> np.ndarray:
         size = prod(shape)
         buf = self._store.get(key)
         if buf is None or buf.dtype != dtype or buf.size < size:
-            buf = self._store[key] = np.empty(size, dtype)
+            rows = len(shape) == 2 and shape[0] <= self.row_capacity
+            buf = self._store[key] = np.empty(self.row_capacity * shape[1] if rows else size, dtype)
         return buf[:size].reshape(shape)
 
     @property
@@ -189,14 +212,16 @@ def linear_backward(grad, x, w, *, out=None, need_dx=True):
     return dx, dw, flat_g.sum(axis=0)
 
 
-def layer_norm_forward(x, gain, bias, eps=LN_EPS, *, ws=None, key="ln"):
+def layer_norm_forward(x, gain, bias, eps=LN_EPS, *, ws=None, key="ln", out=None):
+    """LayerNorm over the last axis; the output goes to ``out``, which may
+    be ``x``, or to the workspace under ``key``."""
     ws = _workspace(ws)
     mu = x.mean(axis=-1, keepdims=True)
     xhat = np.subtract(x, mu, out=ws.get(f"{key}.xhat", x.shape, x.dtype))  # xc = x - mu
     var = np.multiply(xhat, xhat, out=ws.get(_ROWS, x.shape, x.dtype)).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    y = np.multiply(gain, xhat, out=ws.get(f"{key}.y", x.shape, x.dtype))
+    y = np.multiply(gain, xhat, out=ws.get(f"{key}.y", x.shape, x.dtype) if out is None else out)
     y += bias
     return y, (xhat, inv, gain, ws)
 
@@ -250,7 +275,7 @@ def multi_head_attention(
         attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale", out=buf("dropped", attn.shape)
     )
     # the output reuses the context's buffer, which is dead once copied to concat
-    scratch = lambda shape: ws.get("scratch.msa", shape, x.dtype)
+    scratch = lambda shape: ws.get(_GRID, shape, x.dtype)
     context = np.matmul(dropped, v, out=scratch(head_shape))
     concat = buf("concat", x.shape[:-1] + (heads * d_head,))
     concat.reshape(x.shape[:-1] + (heads, d_head))[...] = np.moveaxis(context, 0, -2)
@@ -327,58 +352,104 @@ def ffn_backward(grad, cache):
     return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
-def transformer_layer_forward(x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer"):
-    """One pre-output block: LN(x + MSA(x)) then LN(.. + FFN(..)).
+# Row packing. ``index`` is ``np.flatnonzero(mask)``: sorted and unique, so
+# when it is as long as the grid it names every slot, in order, and the rows
+# are the grid itself.
 
-    ``layer`` is a mapping with keys wq, wk, wv, wo, bo, ln1_g, ln1_b,
-    ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b. The residual sums are
-    written over the branch outputs, which no cache keeps.
+
+def _scatter_rows(rows, index, grid):
+    """Write ``rows`` into the slots ``index`` of ``grid`` (..., h) and zero
+    the other slots."""
+    flat = grid.reshape(-1, grid.shape[-1])
+    if len(index) == len(flat):
+        flat[...] = rows
+    else:
+        grid.fill(0)
+        flat[index] = rows
+    return grid
+
+
+def _gather_rows(grid, index, out):
+    """The slots ``index`` of ``grid`` (..., h) as rows, into ``out``."""
+    flat = grid.reshape(-1, grid.shape[-1])
+    if len(index) == len(flat):
+        out[...] = flat
+        return out
+    return np.take(flat, index, axis=0, out=out, mode="clip")
+
+
+def transformer_layer_forward(
+    x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer", out=None
+):
+    """One pre-output block on packed rows: LN(x + MSA(x)) then LN(.. + FFN(..)).
+
+    ``x`` (R, h) holds the valid slots of ``mask`` (..., L) in C order. The
+    attention runs on the zero-PAD (..., L, h) grid of those rows, which its
+    cache keeps; everything else runs on the R rows. ``layer`` is a mapping
+    with keys wq, wk, wv, wo, bo, ln1_g, ln1_b, ffn_w1, ffn_b1, ffn_w2,
+    ffn_b2, ln2_g, ln2_b. The residual sums are written over buffers that no
+    cache keeps, and the output to ``out`` (which may be ``x``) or to the
+    workspace.
     """
     ws = _workspace(ws)
+    index = np.flatnonzero(mask)
+    grid = _scatter_rows(x, index, ws.get(f"{key}.msa.x", mask.shape + x.shape[-1:], x.dtype))
     msa, msa_cache = multi_head_attention(
-        x, mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"], layer["bo"],
+        grid, mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"], layer["bo"],
         dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
     )
+    r1 = _gather_rows(msa, index, ws.get(f"{key}.ln1.y", x.shape, x.dtype))
     x1, ln1_cache = layer_norm_forward(
-        np.add(x, msa, out=msa), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1"
+        np.add(r1, x, out=r1), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1", out=r1
     )
     f, ffn_cache = ffn_forward(
         x1, layer["ffn_w1"], layer["ffn_b1"], layer["ffn_w2"], layer["ffn_b2"],
         dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.ffn",
     )
     y, ln2_cache = layer_norm_forward(
-        np.add(x1, f, out=f), layer["ln2_g"], layer["ln2_b"], ws=ws, key=f"{key}.ln2"
+        np.add(x1, f, out=f), layer["ln2_g"], layer["ln2_b"], ws=ws, key=f"{key}.ln2", out=out
     )
-    return y, {"msa": msa_cache, "ln1": ln1_cache, "ffn": ffn_cache, "ln2": ln2_cache}
+    return y, {"index": index, "msa": msa_cache, "ln1": ln1_cache, "ffn": ffn_cache, "ln2": ln2_cache}
 
 
 def transformer_layer_backward(grad, cache):
+    """Gradients of :func:`transformer_layer_forward`; ``grad`` and the
+    returned input gradient are (R, h) rows."""
+    index, msa_cache = cache["index"], cache["msa"]
     dr2, dln2_g, dln2_b = layer_norm_backward(grad, cache["ln2"])
     dffn_x, ffn_grads = ffn_backward(dr2, cache["ffn"])
     dx1 = np.add(dr2, dffn_x, out=dffn_x)
     dr1, dln1_g, dln1_b = layer_norm_backward(dx1, cache["ln1"])
-    dmsa_x, msa_grads = multi_head_attention_backward(dr1, cache["msa"])
-    dx = np.add(dr1, dmsa_x, out=dmsa_x)
+    grid = msa_cache["ws"].get(_GRID, msa_cache["x"].shape, dr1.dtype)
+    dmsa_x, msa_grads = multi_head_attention_backward(_scatter_rows(dr1, index, grid), msa_cache)
+    # written over dx1, which the LN1 backward has consumed
+    dx = _gather_rows(dmsa_x, index, dx1)
+    dx += dr1
     grads = {**msa_grads, "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b}
     grads.update({"ffn_" + k: g for k, g in ffn_grads.items()})
     return dx, grads
 
 
 def readout_forward(x, mask, *, ws=None):
-    """Mean over valid rows: (..., L, h) + (..., L) -> (..., h); all-PAD -> 0."""
+    """Mean over valid rows: rows (R, h) of the valid slots of ``mask``
+    (..., L), in C order -> (..., h); a window with no valid slot -> 0.
+    The sum runs over the rows scattered into a zero-PAD grid."""
     ws = _workspace(ws)
-    m = np.asarray(mask, dtype=x.dtype)[..., None]
-    counts = m.sum(axis=-2)
-    sums = np.multiply(x, m, out=ws.get(_ROWS, x.shape, x.dtype)).sum(axis=-2)
-    y = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return y, (m, counts, ws)
+    index = np.flatnonzero(mask)
+    grid = _scatter_rows(x, index, ws.get(_GRID, mask.shape + x.shape[-1:], x.dtype))
+    counts = np.asarray(mask, dtype=x.dtype).sum(axis=-1, keepdims=True)
+    sums = grid.sum(axis=-2)
+    y = np.divide(sums, counts, out=sums, where=counts > 0)
+    # the window of each row, over the flattened leading axes
+    return y, (index // mask.shape[-1], counts, ws)
 
 
 def readout_backward(grad, cache):
-    m, counts, ws = cache
+    owner, counts, ws = cache
     inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-    shape = m.shape[:-1] + grad.shape[-1:]
-    return np.multiply((grad * inv)[..., None, :], m, out=ws.get("grad.readout.dx", shape, grad.dtype))
+    g = (grad * inv).reshape(-1, grad.shape[-1])
+    out = ws.get("grad.readout.dx", (len(owner), g.shape[-1]), g.dtype)
+    return np.take(g, owner, axis=0, out=out, mode="clip")
 
 
 def bce_loss(p, y, eps=1e-12):

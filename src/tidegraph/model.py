@@ -21,6 +21,16 @@ and backward temporaries) lives in the parameters' :class:`~.attention.Workspace
 parameters, and a steady run of same-sized steps allocates no large array.
 The probabilities it returns, the gradients in ``params.grads`` and the
 :class:`PairBatch` arrays never share memory with the workspace.
+
+Packed rows: :func:`_assemble_tokens` gathers the R valid slots of a batch,
+in :func:`to_sequences` order, into an (R, width) token matrix, and the count
+lift and the season and trend embeddings run on those rows. From there the
+input projection, every transformer layer's LayerNorms, residual sums and
+FFN, and the readout work on (R, ·) rows, and so do their gradients; PAD
+slots have no row. The padded arrays are the :class:`PairBatch` encoder
+outputs and mask, the (S, L) sequence mask, and each layer's attention
+input, scores and weights on the (S, L) grid of :func:`to_sequences` (see
+:mod:`.attention`).
 """
 
 from __future__ import annotations
@@ -319,33 +329,40 @@ def featurize_pairs(
 
 
 def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
-    """Token rows in the compute dtype, in the workspace; the float64 encoder
-    outputs are cast straight into them, and the cast count and season/trend
-    columns are what the backward pass reads."""
+    """Token rows (R, width) in the compute dtype, in the workspace: one row
+    per valid slot, in :func:`to_sequences` order. The float64 encoder
+    blocks are gathered and cast straight into their columns; the count lift
+    and the season and trend embeddings run on the gathered rows, whose cast
+    inputs are what the backward pass reads."""
     ws = params.workspace
     v = params.values
+    blocks = [batch.h] + ([batch.tmix] if cfg.time_mode != "none" else [])
+    for a in blocks + [batch.counts, batch.season, batch.trend]:
+        if a is not None and a.shape[:-1] != batch.mask.shape:
+            raise ValueError(f"encoder block of shape {a.shape} does not match windows {batch.mask.shape}")
+    slots = to_sequences(np.arange(batch.mask.size).reshape(batch.mask.shape), cfg)[to_sequences(batch.mask, cfg)]
+    in_order = np.array_equal(slots, np.arange(batch.mask.size))  # every slot valid, windows in order
 
-    def cast(a, key):
-        out = ws.get(key, a.shape, params.dtype)
-        out[...] = a
+    def gather(a, out):
+        a = a.reshape(batch.mask.size, a.shape[-1])
+        out[...] = a if in_order else a[slots]
         return out
 
-    blocks = [batch.h]
-    if cfg.time_mode != "none":
-        blocks.append(batch.tmix)
+    def rows(key, width):
+        return ws.get(key, (len(slots), width), params.dtype)
+
     named = []
     cache = {}
     if cfg.bie_active:
         emb, cache["bie"] = nn.ffn_forward(
-            cast(batch.counts, "bie.counts"), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"],
+            gather(batch.counts, rows("bie.counts", 2)), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"],
             ws=ws, key="bie",
         )
         named.append(("bie", emb))
     if cfg.ste_active:
         for name, w, b in (("season", "ste.ws", "ste.bs"), ("trend", "ste.wt", "ste.bt")):
-            x = cast(getattr(batch, name), f"{name}.x")
-            out = ws.get(f"{name}.y", x.shape[:-1] + v[w].shape[1:], params.dtype)
-            emb, cache[name] = nn.linear_forward(x, v[w], v[b], out=out)
+            x = gather(getattr(batch, name), rows(f"{name}.x", 1))
+            emb, cache[name] = nn.linear_forward(x, v[w], v[b], out=rows(f"{name}.y", v[w].shape[1]))
             named.append((name, emb))
     slices = {}
     offset = sum(b.shape[-1] for b in blocks)
@@ -355,35 +372,36 @@ def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch
     expected = cfg.token_width(batch.h.shape[-1], 0)
     if offset != expected:
         raise CheckFailure(f"token width {offset} != expected {expected}")
-    tokens = ws.get("tokens", batch.h.shape[:-1] + (offset,), params.dtype)
-    np.concatenate(blocks + [emb for _, emb in named], axis=-1, out=tokens)
+    tokens = rows("tokens", offset)
+    col = 0
+    for block in blocks:
+        gather(block, tokens[:, col : col + block.shape[-1]])
+        col += block.shape[-1]
+    for name, emb in named:
+        tokens[:, slice(*slices[name])] = emb
     cache["slices"] = slices
     return tokens, cache
 
 
-def to_sequences(rows: np.ndarray, cfg: ModelConfig, *, ws: nn.Workspace | None = None, key: str = "") -> np.ndarray:
+def to_sequences(rows: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Window rows (2P, n, ...) to transformer sequences.
 
     Layouts il and sl attend within each window, so the rows are the
     sequences. Layout ml sets a pair's two windows side by side in one
-    (P, 2n, ...) sequence, source block first (DyGFormer's patch stacking),
-    written to ``ws`` under ``key`` when a workspace is given.
+    (P, 2n, ...) sequence, source block first (DyGFormer's patch stacking).
     """
     if cfg.layout != "ml":
         return rows
     p = len(rows) // 2
-    out = None if ws is None else ws.get(key, (p, 2 * rows.shape[1]) + rows.shape[2:], rows.dtype)
-    return np.concatenate([rows[:p], rows[p:]], axis=1, out=out)
+    return np.concatenate([rows[:p], rows[p:]], axis=1)
 
 
-def to_window_rows(seqs: np.ndarray, cfg: ModelConfig, *, ws: nn.Workspace | None = None, key: str = "") -> np.ndarray:
-    """Inverse of :func:`to_sequences`: transformer sequences to (2P, n, ...)
-    window rows, written to ``ws`` under ``key`` when a workspace is given."""
+def to_window_rows(seqs: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Inverse of :func:`to_sequences`: transformer sequences to (2P, n, ...) window rows."""
     if cfg.layout != "ml":
         return seqs
     n = seqs.shape[1] // 2
-    out = None if ws is None else ws.get(key, (2 * len(seqs), n) + seqs.shape[2:], seqs.dtype)
-    return np.concatenate([seqs[:, :n], seqs[:, n:]], axis=0, out=out)
+    return np.concatenate([seqs[:, :n], seqs[:, n:]], axis=0)
 
 
 def forward_batch(
@@ -397,37 +415,45 @@ def forward_batch(
     """Score every pair in the batch; returns (probabilities, cache).
 
     The cache lives in ``params.workspace`` and stays valid until the next
-    forward on ``params``; the probabilities are a fresh array.
+    forward on ``params``; the probabilities are a fresh array. Its
+    ``tokens`` are the (R, width) token rows and ``final_rows`` the (R, h)
+    output rows of the last layer.
     """
-    p = batch.num_pairs
+    p, n = batch.num_pairs, batch.mask.shape[1]
     ws = params.workspace
+    ws.row_capacity = batch.mask.size
     tokens, asm_cache = _assemble_tokens(params, cfg, batch)
-    x = to_sequences(tokens, cfg, ws=ws, key="tokens.seq")
     mask = to_sequences(batch.mask, cfg)
 
     w_in = params.values["input.w"]
-    out = ws.get("input.y", x.shape[:-1] + w_in.shape[1:], params.dtype)
-    x, proj_in = nn.linear_forward(x, w_in, params.values["input.b"], out=out)
+    out = ws.get("rows", (len(tokens),) + w_in.shape[1:], params.dtype)
+    x, _ = nn.linear_forward(tokens, w_in, params.values["input.b"], out=out)
     layer_caches = []
     for l in range(cfg.layers):
+        # every layer writes its output rows over its input rows
         x, cache_l = nn.transformer_layer_forward(
             x, mask, params.layer_view(l),
-            dropout_rate=cfg.dropout, rng=rng, training=training, ws=ws, key=f"layers.{l}",
+            dropout_rate=cfg.dropout, rng=rng, training=training, ws=ws, key=f"layers.{l}", out=x,
         )
         layer_caches.append(cache_l)
 
-    emb, readout_cache = nn.readout_forward(to_window_rows(x, cfg, ws=ws, key="readout.rows"), batch.mask, ws=ws)
+    # each window's mean: the sequence mask viewed as (S, L / n) windows of
+    # n slots gives (S, L / n, h) embeddings, put back in window order
+    emb, readout_cache = nn.readout_forward(x, mask.reshape(len(mask), -1, n), ws=ws)
+    emb = to_window_rows(emb, cfg).reshape(2 * p, -1)
     pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
+    # the link head's (P, ·) pair rows are small and allocate their own arrays,
+    # so every 2-D workspace array is a slot-row matrix (see Workspace)
     logit2d, link_cache = nn.ffn_forward(
         pair_emb, params.values["link.w1"], params.values["link.b1"],
-        params.values["link.w2"], params.values["link.b2"], ws=ws, key="link",
+        params.values["link.w2"], params.values["link.b2"],
     )
     logits = logit2d[:, 0]
     probs = nn.sigmoid(logits)
     cache = {
-        "asm": asm_cache, "proj_in": proj_in,
+        "asm": asm_cache, "tokens": tokens,
         "layers": layer_caches, "readout": readout_cache, "link": link_cache,
-        "final_tokens": x,
+        "final_rows": x,
     }
     return probs, cache
 
@@ -442,8 +468,7 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
     dpair, link_grads = nn.ffn_backward(dlogits[:, None], cache["link"])
     params.add_grads("link", link_grads)
     demb = np.concatenate(np.split(dpair, 2, axis=-1))  # source rows, then target rows
-    ws = params.workspace
-    dx = to_sequences(nn.readout_backward(demb, cache["readout"]), cfg, ws=ws, key="grad.readout.seq")
+    dx = nn.readout_backward(to_sequences(demb[:, None], cfg), cache["readout"])
 
     for l in reversed(range(cfg.layers)):
         dx, layer_grads = nn.transformer_layer_backward(dx, cache["layers"][l])
@@ -451,21 +476,22 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
 
     asm = cache["asm"]
     slices = asm["slices"]
-    x_in = cache["proj_in"]
-    # only the learned token blocks of layout il need the token gradient
-    dtokens, dw, db = nn.linear_backward(
-        dx, x_in, params.values["input.w"], need_dx=bool(slices),
-        out=ws.get("grad.input.dx", x_in.shape, params.dtype) if slices else None,
-    )
+    w_in = params.values["input.w"]
+    _, dw, db = nn.linear_backward(dx, cache["tokens"], w_in, need_dx=False)
     params.add_grads("input", {"w": dw, "b": db})
-    if "bie" in slices:
-        a, b = slices["bie"]
-        params.add_grads("bie", nn.ffn_backward(dtokens[..., a:b], asm["bie"])[1])
-    if "season" in slices:
-        a, b = slices["season"]
-        _, dws, dbs = nn.linear_backward(dtokens[..., a:b], asm["season"], params.values["ste.ws"], need_dx=False)
-        a, b = slices["trend"]
-        _, dwt, dbt = nn.linear_backward(dtokens[..., a:b], asm["trend"], params.values["ste.wt"], need_dx=False)
+    if not slices:
+        return
+    # only the learned token blocks of layout il need the token gradient;
+    # they are the last columns, so one GEMM against the tail of input.w
+    tail = min(a for a, _ in slices.values())
+    out = params.workspace.get("grad.input.dx", (len(dx), len(w_in) - tail), params.dtype)
+    dtail = np.matmul(dx, w_in[tail:].T, out=out)
+    cols = {name: dtail[:, a - tail : b - tail] for name, (a, b) in slices.items()}
+    if "bie" in cols:
+        params.add_grads("bie", nn.ffn_backward(cols["bie"], asm["bie"])[1])
+    if "season" in cols:
+        _, dws, dbs = nn.linear_backward(cols["season"], asm["season"], params.values["ste.ws"], need_dx=False)
+        _, dwt, dbt = nn.linear_backward(cols["trend"], asm["trend"], params.values["ste.wt"], need_dx=False)
         params.add_grads("ste", {"ws": dws, "bs": dbs, "wt": dwt, "bt": dbt})
 
 

@@ -170,7 +170,8 @@ class TestTransformerLayer:
         x = rng.normal(size=(L, h))
         mask = np.array([True, True, False, True])
         params = _layer_params(rng, h)
-        got, _ = transformer_layer_forward(x, mask, params)
+        # the layer takes the valid rows only; the PAD row x[2] is a masked key
+        got, _ = transformer_layer_forward(x[mask], mask, params)
 
         msa = _naive_mha(x, mask, params["wq"], params["wk"], params["wv"], params["wo"], params["bo"])
 
@@ -182,7 +183,7 @@ class TestTransformerLayer:
         x1 = ln(x + msa)
         f = np.maximum(x1 @ params["ffn_w1"] + params["ffn_b1"], 0.0) @ params["ffn_w2"] + params["ffn_b2"]
         want = ln(x1 + f)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        np.testing.assert_allclose(got, want[mask], atol=1e-10)
 
 
 class TestFfn:
@@ -204,17 +205,18 @@ class TestReadout:
     def test_single_valid_row(self):
         x = np.arange(12.0).reshape(3, 4)
         mask = np.array([False, True, False])
-        out, _ = readout_forward(x, mask)
+        out, _ = readout_forward(x[mask], mask)
         np.testing.assert_array_equal(out, x[1])
 
     def test_all_pad_zero_vector(self):
-        out, _ = readout_forward(np.ones((3, 4)), np.zeros(3, bool))
+        mask = np.zeros(3, bool)
+        out, _ = readout_forward(np.ones((3, 4))[mask], mask)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_two_rows_mean(self):
         x = np.stack([np.full(4, 2.0), np.full(4, 6.0), np.full(4, 100.0)])
         mask = np.array([True, True, False])
-        out, _ = readout_forward(x, mask)
+        out, _ = readout_forward(x[mask], mask)
         np.testing.assert_array_equal(out, np.full(4, 4.0))
 
 

@@ -90,7 +90,8 @@ class TestForward:
             probs, cache = forward_batch(params, cfg, batch)
             assert probs.shape == labels.shape
             assert np.all((probs > 0) & (probs < 1))
-            assert np.all(np.isfinite(cache["final_tokens"]))
+            assert cache["final_rows"].shape == (batch.mask.sum(), cfg.hidden)
+            assert np.all(np.isfinite(cache["final_rows"]))
 
     def test_cold_start_windows_are_finite(self):
         # anchors with no history at all produce all-PAD windows

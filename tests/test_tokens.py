@@ -1,8 +1,9 @@
 """Token assembly widths, slicing, and masks for the three layouts.
 
 Tokens are built by one path: ``featurize_pairs`` runs the fixed encoders,
-``_assemble_tokens`` concatenates their blocks, and ``to_sequences`` stacks
-the two windows of a pair for the ``ml`` layout.
+and ``_assemble_tokens`` gathers their blocks into one token row per valid
+slot, in ``to_sequences`` order, which for the ``ml`` layout sets the two
+windows of a pair one after the other.
 """
 
 import numpy as np
@@ -73,6 +74,11 @@ def _tokens(cfg, batch, d):
     return _assemble_tokens(params, cfg, batch)
 
 
+def _rows(block):
+    """An all-valid (2P, n, d) block as token rows (2P * n, d)."""
+    return block.reshape(-1, block.shape[-1])
+
+
 class TestInteractionTokens:
     def test_reference_width(self):
         # no node features, 4 edge features, then 100/50/100 context columns
@@ -89,7 +95,7 @@ class TestInteractionTokens:
         for block in (batch.tmix, batch.counts, batch.season, batch.trend):
             block[...] = 0.0
         tokens, _ = _tokens(cfg, batch, d=0)
-        np.testing.assert_array_equal(tokens, np.zeros((2, 2, 7)))
+        np.testing.assert_array_equal(tokens, np.zeros((4, 7)))  # one row per valid slot
         assert cfg.token_width(0, 0) == 7
 
     def test_slices_recover_components(self):
@@ -99,15 +105,15 @@ class TestInteractionTokens:
         v = params.values
         t, cache = _assemble_tokens(params, cfg, batch)
         # the float64 encoder outputs are cast once to the compute dtype
-        cast = lambda a: a.astype(np.float32)
+        cast = lambda a: _rows(a).astype(np.float32)
         assert t.dtype == np.float32
-        np.testing.assert_array_equal(t[..., :3], cast(batch.h))
-        np.testing.assert_array_equal(t[..., 3:9], cast(batch.tmix))
+        np.testing.assert_array_equal(t[:, :3], cast(batch.h))
+        np.testing.assert_array_equal(t[:, 3:9], cast(batch.tmix))
         assert cache["slices"] == {"bie": (9, 11), "season": (11, 13), "trend": (13, 15)}
         bie, _ = nn.ffn_forward(cast(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
-        np.testing.assert_array_equal(t[..., 9:11], bie)
-        np.testing.assert_array_equal(t[..., 11:13], cast(batch.season) @ v["ste.ws"] + v["ste.bs"])
-        np.testing.assert_array_equal(t[..., 13:], cast(batch.trend) @ v["ste.wt"] + v["ste.bt"])
+        np.testing.assert_array_equal(t[:, 9:11], bie)
+        np.testing.assert_array_equal(t[:, 11:13], cast(batch.season) @ v["ste.ws"] + v["ste.bs"])
+        np.testing.assert_array_equal(t[:, 13:], cast(batch.trend) @ v["ste.wt"] + v["ste.bt"])
 
     def test_row_mismatch_rejected(self):
         cfg = _cfg()
@@ -123,7 +129,7 @@ class TestInteractionTokens:
         assert batch.mask[0].sum() == 2
         np.testing.assert_array_equal(batch.mask[0], [False, False, True, True])
         tokens, _ = _tokens(cfg, batch, d=4)
-        assert tokens.shape[:2] == batch.mask.shape
+        assert tokens.shape[0] == batch.mask.sum() == 6
 
 
 class TestSingleNodeTokens:
@@ -132,23 +138,25 @@ class TestSingleNodeTokens:
         seq = _seq([5, 6, 7, 8], d_e=4)
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(4), cfg)
         tokens, _ = _tokens(cfg, batch, d=4)
-        assert tokens.shape == (2, 4, 104)
+        assert tokens.shape == (8, 104)
         assert batch.counts is None and batch.season is None
 
     def test_zero_features_zero_offset(self):
-        # zero feature block plus cosine of zero offsets: [0...0, 1...1] rows
+        # PAD slots encode as a zero feature block plus the cosine of zero
+        # offsets, [0...0, 1...1], and get no token row
         cfg = _cfg(layout="sl", mte=MteConfig(d_t=5))
         seq = _seq([PAD_ID, PAD_ID], d_e=3)
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(3), cfg)
         tokens, _ = _tokens(cfg, batch, d=3)
         row = np.hstack([np.zeros((2, 3)), np.ones((2, 5))])
-        np.testing.assert_array_equal(tokens, np.stack([row, row]))
+        np.testing.assert_array_equal(np.concatenate([batch.h, batch.tmix], axis=-1), np.stack([row, row]))
+        assert tokens.shape == (0, 8)
 
     def test_matches_manual_concat(self):
         cfg = _cfg(layout="sl", mte=MteConfig(d_t=4))
         batch = _random_batch(np.random.default_rng(1), p=1, n=3, d=2, t=4, counts=False, ste=False)
         tokens, _ = _tokens(cfg, batch, d=2)
-        expected = np.concatenate([batch.h, batch.tmix], axis=-1).astype(np.float32)
+        expected = _rows(np.concatenate([batch.h, batch.tmix], axis=-1)).astype(np.float32)
         np.testing.assert_array_equal(tokens, expected)
 
 
@@ -157,23 +165,33 @@ class TestMixedTokens:
         cfg = _cfg(layout="ml")
         batch = featurize_pairs(pairs, NO_INDEX, _store(2), cfg)
         params = ModelParameters(cfg, 0, 2, seed=0)
-        tokens, _ = _assemble_tokens(params, cfg, batch)
         _, cache = forward_batch(params, cfg, batch)
-        # the projection's cached input is the stacked (P, 2n, width) sequence
-        return batch, tokens, cache["proj_in"], cache["layers"][0]["msa"]["mask"]
+        # the projection's cached input: the valid slots of the stacked
+        # (P, 2n) sequences as (R, width) token rows
+        return batch, cache["tokens"], cache["layers"][0]["msa"]["mask"]
+
+    @staticmethod
+    def _window(batch, i):
+        """The expected token rows of window i: its valid slots, cast."""
+        return np.concatenate([batch.h[i], batch.tmix[i]], axis=-1)[batch.mask[i]].astype(np.float32)
 
     def test_block_order(self):
-        pairs = [(_seq([5, 6, 7, 8], d_e=2), _seq([1, 2, 3, PAD_ID], d_e=2, anchor=9))]
-        batch, tokens, stacked, mask = self._forward(pairs)
-        assert stacked.shape[1] == 8
-        np.testing.assert_array_equal(stacked[0, :4], tokens[0])
-        np.testing.assert_array_equal(stacked[0, 4:], tokens[1])
-        np.testing.assert_array_equal(mask[0], np.concatenate([batch.mask[0], batch.mask[1]]))
+        # pair-major: pair 0's source and target rows, then pair 1's
+        pairs = [(_seq([5, 6, 7, 8], d_e=2), _seq([1, 2, 3, PAD_ID], d_e=2, anchor=9)),
+                 (_seq([PAD_ID, 4, 5, 6], d_e=2, anchor=1), _seq([7, 8, 9, 5], d_e=2, anchor=8))]
+        batch, rows, mask = self._forward(pairs)
+        assert rows.shape[0] == 4 + 3 + 3 + 4
+        np.testing.assert_array_equal(rows[:4], self._window(batch, 0))
+        np.testing.assert_array_equal(rows[4:7], self._window(batch, 2))
+        np.testing.assert_array_equal(rows[7:10], self._window(batch, 1))
+        np.testing.assert_array_equal(rows[10:], self._window(batch, 3))
+        np.testing.assert_array_equal(mask[0], np.concatenate([batch.mask[0], batch.mask[2]]))
+        np.testing.assert_array_equal(mask[1], np.concatenate([batch.mask[1], batch.mask[3]]))
 
     def test_identical_halves(self):
         seq = _seq([5, 6, 7, 8], d_e=2)
-        _, _, stacked, _ = self._forward([(seq, seq)])
-        np.testing.assert_array_equal(stacked[0, :4], stacked[0, 4:])
+        _, rows, _ = self._forward([(seq, seq)])
+        np.testing.assert_array_equal(rows[:4], rows[4:])
 
     @pytest.mark.parametrize("layout, seq_shape", [("ml", (3, 8, 2)), ("il", (6, 4, 2))])
     def test_window_rows_invert_sequences(self, layout, seq_shape):

@@ -8,7 +8,10 @@ num_targets=60, num_events=1500, d_e=4)`` and
 ml and with random and historical negatives. Every run uses 3 epochs,
 dropout 0.1, hidden 32, n_neighbors 10, lr 1e-3, batch 100, seed 7, the
 time-encoder alpha solved from the corpus duration, and an attention trace at
-epochs 0 and -1 with threshold 30.
+epochs 0 and -1 with threshold 30. ``--dropout RATE`` sets another dropout
+rate for every run. A grid at rate 0 draws no dropout mask, so it checks a
+change to the arithmetic even when the change also moves the dropout stream
+(for example, by drawing masks for fewer units).
 
 ``compare A B`` byte-compares the three text artifacts of every run and
 compares every checkpoint array bitwise (dtype, shape and bytes). It prints
@@ -76,14 +79,14 @@ def _corpus(name):
     return generate_hotnode_corpus(num_events=1500)[0]
 
 
-def _run_config(store, layout, nss):
+def _run_config(store, layout, nss, dropout):
     from tidegraph.config import RunConfig, TraceSpec, TrainConfig
     from tidegraph.encoders import DECAY_TOL, MteConfig
     from tidegraph.model import ModelConfig
 
     exact = (store.duration_seconds / DECAY_TOL) ** (BETA / (D_T - 1))
     mte = MteConfig(d_t=D_T, beta=BETA, alpha=math.ceil(exact * 100.0) / 100.0)
-    model = ModelConfig(n_neighbors=10, hidden=32, dropout=0.1, layout=layout, mte=mte)
+    model = ModelConfig(n_neighbors=10, hidden=32, dropout=dropout, layout=layout, mte=mte)
     return RunConfig(
         model=model,
         train=TrainConfig(lr=1e-3, epochs=3, batch_size=100, seed=7),
@@ -92,7 +95,7 @@ def _run_config(store, layout, nss):
     )
 
 
-def run(out: Path) -> None:
+def run(out: Path, dropout: float = 0.1) -> None:
     from tidegraph.harness import train
 
     for corpus in CORPORA:
@@ -100,7 +103,7 @@ def run(out: Path) -> None:
         for layout in LAYOUTS:
             for nss in NEGATIVES:
                 name = f"{corpus}-{layout}-{nss}"
-                train(store, _run_config(store, layout, nss), out_dir=out / name)
+                train(store, _run_config(store, layout, nss, dropout), out_dir=out / name)
                 print(f"wrote {out / name}", flush=True)
 
 
@@ -216,6 +219,8 @@ def main(argv=None) -> int:
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                    help="directory holding the tidegraph package to import")
+    p.add_argument("--dropout", type=float, default=0.1, metavar="RATE",
+                   help="dropout rate of every run (default 0.1)")
     p = sub.add_parser("compare", help="compare two grids written by run")
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
@@ -225,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         sys.path.insert(0, str(args.src.resolve()))
-        run(args.out)
+        run(args.out, args.dropout)
         return 0
     if args.tolerance is not None:
         return 1 if compare_within(args.a, args.b, *args.tolerance) else 0
