@@ -40,11 +40,15 @@ Packed rows: the transformer layer and the readout take the valid slots of
 a (..., L) window grid as an (R, h) row matrix, R = ``mask.sum()``, in the
 C order of ``mask``; PAD slots have no row. The LayerNorms, the residual
 sums, the FFN and its dropout, the readout and all their gradients work on
-those R rows. Only :func:`multi_head_attention` computes on the padded
-(..., L, h) grid: the layer scatters its rows into a zero-PAD grid, which
-the attention cache keeps, and gathers the attention's output rows back;
-the backward pass does the same with the gradient. The readout sums its
-rows on such a grid too, in a buffer shared with the attention's output.
+those R rows, and so do the attention's output projection and the weight
+and input gradients of its q, k and v projections. The attention's q, k
+and v projections, scores, softmax, dropout and context run on the padded
+grid, head-first: the layer scatters its rows into a zero-PAD (..., L, h)
+grid, which the attention takes and its cache keeps, and the attention
+gathers the context rows back before ``wo``, so it returns (R, h) rows.
+Its backward pass takes (R, h) rows, scatters the context gradient onto
+the grid and gathers the q, k and v gradients back to rows. When no slot
+is PAD, the readout sums the rows in place, as the grid they are.
 """
 
 from __future__ import annotations
@@ -80,11 +84,12 @@ LN_EPS = 1e-5
 UNIFORM_CHUNK = 1 << 16
 # Workspace keys shared by calls whose arrays never live at the same time.
 # The wide slot holds the FFN's transient dropout scale (forward), the FFN's
-# hidden gradient (backward) and the attention's per-head dx term (backward);
-# the row slot holds the LayerNorm temporary; the grid slot, of the padded
-# (..., L, h) size, holds the attention's context and output (forward), the
-# readout's scattered rows (forward) and a layer's scattered gradient
-# (backward).
+# hidden gradient (backward) and the attention's (R, 3 J d_k) q, k and v
+# gradient rows (backward); the row slot holds the LayerNorm temporary, the
+# attention's head-first gathers and its input rows, gathered from its grid
+# (backward); the grid slot, of the padded (..., L, h) size, holds the
+# attention's head-first context (forward) and context gradient (backward)
+# and the readout's scattered rows (forward).
 _WIDE = "scratch.wide"
 _ROWS = "scratch.rows"
 _GRID = "scratch.grid"
@@ -143,21 +148,33 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray, *, out: np.ndarray | No
 
     ``scores`` has shape (..., L, L) and ``mask`` (..., L) flags valid keys.
     Masked columns get zero weight; rows with at least one valid key sum to
-    one; rows with none are all-zero. The result is written to ``out``,
-    which may be ``scores`` itself.
+    one; rows with none are all-zero. The scores must be finite: a masked
+    column is set to -inf by adding -inf to it. The result is written to
+    ``out``, which may be ``scores`` itself.
     """
     if out is None:
         out = np.empty_like(scores)
     if out is not scores:
         out[...] = scores
-    # where(valid, scores, -inf); exp(-inf - peak) is then the 0 of a masked column
-    np.copyto(out, -np.inf, where=~np.asarray(mask, dtype=bool)[..., None, :])
-    peak = out.max(axis=-1, keepdims=True)
+    # + (0 or -inf): where(valid, scores, -inf) for finite scores, without a
+    # masked copy; exp(-inf - peak) is then the 0 of a masked column
+    out += np.where(mask, out.dtype.type(0), out.dtype.type(-np.inf))[..., None, :]
+    peak = _row_peak(out)
     peak[~np.isfinite(peak)] = 0.0
     out -= peak
     np.exp(out, out=out)
     total = out.sum(axis=-1, keepdims=True)
     return np.divide(out, total, out=out, where=total > 0)
+
+
+def _row_peak(scores):
+    """``scores.max(axis=-1, keepdims=True)`` as a running maximum over the
+    key columns: a few wide elementwise passes in place of one short
+    reduction per row, with the same result (a maximum is exact)."""
+    peak = scores[..., :1].copy()
+    for col in range(1, scores.shape[-1]):
+        np.maximum(peak, scores[..., col : col + 1], out=peak)
+    return peak
 
 
 def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray, *, ws: Workspace | None = None) -> np.ndarray:
@@ -247,23 +264,63 @@ def _head_view(w, x):
     return w.reshape(w.shape[:1] + (1,) * (x.ndim - 2) + w.shape[1:])
 
 
+def _heads_to_rows(heads, index, out, ws):
+    """The slots ``index`` of a head-first (J, ..., d) grid as (R, J, d)
+    rows, into ``out``. The slots are gathered into a contiguous (J, R, d)
+    scratch, which one transposing copy then writes into ``out``."""
+    flat = heads.reshape(len(heads), -1, heads.shape[-1])
+    if len(index) < flat.shape[1]:
+        j, rows, d = len(flat), len(index), flat.shape[-1]
+        gathered = ws.get(_ROWS, (rows, j * d), flat.dtype).reshape(j, rows, d)
+        flat = np.take(flat, index, axis=1, out=gathered, mode="clip")
+    out[...] = np.swapaxes(flat, 0, 1)
+    return out
+
+
+def _rows_to_heads(rows, index, heads):
+    """Write (R, J d) rows (heads side by side, as concatenated) into the
+    slots ``index`` of a head-first (J, ..., d) grid and zero the other
+    slots; the inverse of :func:`_heads_to_rows`."""
+    flat = heads.reshape(len(heads), -1, heads.shape[-1])
+    for j, cols in enumerate(np.split(rows, len(heads), axis=1)):
+        _scatter_rows(cols, index, flat[j])
+    return heads
+
+
+def _stacked_heads(wq, wk, wv):
+    """The (J, h, d_k) head weights as one (h, 3 J d_k) matrix: the q, k and
+    v heads side by side, in the column order of the concatenated heads."""
+    return np.concatenate([w.transpose(1, 0, 2).reshape(w.shape[1], -1) for w in (wq, wk, wv)], axis=1)
+
+
 def multi_head_attention(
-    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa"
+    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa", out=None
 ):
     """Masked multi-head self-attention over one or a batch of windows.
 
-    ``x`` is (..., L, h) and ``wq``/``wk``/``wv`` are (J, h, d_k). Per head j
-    the context is ``softmax(x Wq_j (x Wk_j)^T / sqrt(d_k)) x Wv_j`` with PAD
-    keys masked out; all heads run as one array with the head axis leading,
-    and their contexts are concatenated along the feature axis and mixed by
-    ``wo``. Returns (output, cache). Cached head arrays are head-first:
-    ``q``/``k``/``v`` (J, ..., L, d_k) and ``attn`` (the softmax weights,
-    before dropout) and ``dropped`` (J, ..., L, L).
+    ``x`` is the (..., L, h) grid with zero PAD slots and ``wq``/``wk``/``wv``
+    are (J, h, d_k). Per head j the context is ``softmax(x Wq_j (x Wk_j)^T /
+    sqrt(d_k)) x Wv_j`` with PAD keys masked out; the heads' contexts are
+    concatenated along the feature axis and mixed by ``wo``.
+
+    Rows and grid: q, k and v, the scores, the softmax, its dropout and the
+    context run on the (J, ..., L, ·) grid. The contexts of the R valid
+    slots are gathered, in the C order of ``mask``, and projected by ``wo``
+    into ``out`` (or the workspace), so the output is (R, h) rows: a PAD
+    query slot has none. A PAD slot of ``x`` reaches only PAD query rows and
+    masked keys, whose weights and gradients are exact zeros, so while the
+    scores stay finite its value changes no output row and no gradient.
+
+    Returns (rows, cache). The cache keeps ``x`` and ``weights`` (wq, wk, wv,
+    wo); its head arrays are head-first: ``q``/``k``/``v`` (J, ..., L, d_k)
+    and ``attn`` (the softmax weights, before dropout) and ``dropped``
+    (J, ..., L, L). ``concat`` holds the (R, J d_k) context rows.
     """
     ws = _workspace(ws)
     buf = lambda role, shape: ws.get(f"{key}.{role}", shape, x.dtype)
     heads, d_head = wq.shape[0], wq.shape[-1]
     head_shape = (heads,) + x.shape[:-1] + (d_head,)
+    index = np.flatnonzero(mask)
     scale = 1.0 / sqrt(d_head)
     q = np.matmul(x, _head_view(wq, x), out=buf("q", head_shape))
     k = np.matmul(x, _head_view(wk, x), out=buf("k", head_shape))
@@ -274,14 +331,14 @@ def multi_head_attention(
     dropped, drop_scale = dropout_forward(
         attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale", out=buf("dropped", attn.shape)
     )
-    # the output reuses the context's buffer, which is dead once copied to concat
-    scratch = lambda shape: ws.get(_GRID, shape, x.dtype)
-    context = np.matmul(dropped, v, out=scratch(head_shape))
-    concat = buf("concat", x.shape[:-1] + (heads * d_head,))
-    concat.reshape(x.shape[:-1] + (heads, d_head))[...] = np.moveaxis(context, 0, -2)
-    y, _ = linear_forward(concat, wo, bo, out=scratch(x.shape[:-1] + wo.shape[1:]))
+    context = np.matmul(dropped, v, out=ws.get(_GRID, head_shape, x.dtype))
+    concat = buf("concat", (len(index), heads * d_head))
+    _heads_to_rows(context, index, concat.reshape(len(index), heads, d_head), ws)
+    if out is None:
+        out = ws.get("scratch.msa", (len(index),) + wo.shape[1:], x.dtype)
+    y, _ = linear_forward(concat, wo, bo, out=out)
     cache = {
-        "x": x, "mask": mask, "q": q, "k": k, "v": v, "attn": attn,
+        "x": x, "mask": mask, "index": index, "q": q, "k": k, "v": v, "attn": attn,
         "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
         "weights": (wq, wk, wv, wo), "scale": scale, "ws": ws,
     }
@@ -289,16 +346,24 @@ def multi_head_attention(
 
 
 def multi_head_attention_backward(grad, cache):
-    x, q, k, v, attn, dropped = (cache[key] for key in ("x", "q", "k", "v", "attn", "dropped"))
+    """Gradients of :func:`multi_head_attention`; ``grad`` and the returned
+    input gradient are (R, h) rows of the valid slots.
+
+    The context gradient is scattered onto the zero-PAD head grid, and the
+    q, k and v gradients formed there are gathered back to (R, 3 J d_k)
+    rows. The weight gradients are then one GEMM with the input rows,
+    gathered from the cached grid, and the input gradient one GEMM with the
+    stacked head weights.
+    """
+    x, index, q, k, v, attn, dropped = (cache[key] for key in ("x", "index", "q", "k", "v", "attn", "dropped"))
     wq, wk, wv, wo = cache["weights"]
+    w_qkv = _stacked_heads(wq, wk, wv)
     ws = cache["ws"]
     buf = lambda role, shape: ws.get(f"grad.msa.{role}", shape, x.dtype)
     heads, d_head = wq.shape[0], wq.shape[-1]
-    heads_t = lambda w: np.swapaxes(_head_view(w, x), -1, -2)
-    flat_x = x.reshape(-1, x.shape[-1])
 
     dconcat, dwo, dbo = linear_backward(grad, cache["concat"], wo, out=buf("dconcat", cache["concat"].shape))
-    dout = np.moveaxis(dconcat.reshape(x.shape[:-1] + (heads, d_head)), -2, 0)
+    dout = _rows_to_heads(dconcat, index, ws.get(_GRID, q.shape, x.dtype))
     ddropped = np.matmul(dout, np.swapaxes(v, -1, -2), out=buf("ddropped", attn.shape))
     dv = np.matmul(np.swapaxes(dropped, -1, -2), dout, out=buf("dv", v.shape))
     dattn = dropout_backward(ddropped, cache["drop_scale"])
@@ -306,16 +371,13 @@ def multi_head_attention_backward(grad, cache):
     dscores *= cache["scale"]
     dq = np.matmul(dscores, k, out=buf("dq", q.shape))
     dk_ = np.matmul(np.swapaxes(dscores, -1, -2), q, out=buf("dk", k.shape))
-    head_rows = lambda arr: arr.reshape(heads, -1, d_head)
-    dwq = flat_x.T @ head_rows(dq)
-    dwk = flat_x.T @ head_rows(dk_)
-    dwv = flat_x.T @ head_rows(dv)
-    heads_x = (heads,) + x.shape
-    dx_heads = np.matmul(dq, heads_t(wq), out=buf("dx_heads", heads_x))
-    term = ws.get(_WIDE, heads_x, x.dtype)
-    dx_heads += np.matmul(dk_, heads_t(wk), out=term)
-    dx_heads += np.matmul(dv, heads_t(wv), out=term)
-    dx = dx_heads.sum(axis=0, out=buf("dx", x.shape))
+    drows = ws.get(_WIDE, (len(index), w_qkv.shape[1]), x.dtype)
+    for grid, cols in zip((dq, dk_, dv), np.moveaxis(drows.reshape(len(index), 3, heads, d_head), 1, 0)):
+        _heads_to_rows(grid, index, cols, ws)
+    rows = _gather_rows(x, index, ws.get(_ROWS, (len(index), x.shape[-1]), x.dtype))
+    dw = rows.T @ drows
+    dwq, dwk, dwv = (np.moveaxis(d.reshape(len(d), heads, d_head), 1, 0) for d in np.split(dw, 3, axis=1))
+    dx = np.matmul(drows, w_qkv.T, out=buf("dx", rows.shape))
     return dx, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
 
 
@@ -358,7 +420,7 @@ def ffn_backward(grad, cache):
 
 
 def _scatter_rows(rows, index, grid):
-    """Write ``rows`` into the slots ``index`` of ``grid`` (..., h) and zero
+    """Write ``rows`` into the slots ``index`` of ``grid`` (..., d) and zero
     the other slots."""
     flat = grid.reshape(-1, grid.shape[-1])
     if len(index) == len(flat):
@@ -370,7 +432,7 @@ def _scatter_rows(rows, index, grid):
 
 
 def _gather_rows(grid, index, out):
-    """The slots ``index`` of ``grid`` (..., h) as rows, into ``out``."""
+    """The slots ``index`` of ``grid`` (..., d) as rows, into ``out``."""
     flat = grid.reshape(-1, grid.shape[-1])
     if len(index) == len(flat):
         out[...] = flat
@@ -384,21 +446,21 @@ def transformer_layer_forward(
     """One pre-output block on packed rows: LN(x + MSA(x)) then LN(.. + FFN(..)).
 
     ``x`` (R, h) holds the valid slots of ``mask`` (..., L) in C order. The
-    attention runs on the zero-PAD (..., L, h) grid of those rows, which its
-    cache keeps; everything else runs on the R rows. ``layer`` is a mapping
-    with keys wq, wk, wv, wo, bo, ln1_g, ln1_b, ffn_w1, ffn_b1, ffn_w2,
-    ffn_b2, ln2_g, ln2_b. The residual sums are written over buffers that no
-    cache keeps, and the output to ``out`` (which may be ``x``) or to the
-    workspace.
+    layer scatters them into a zero-PAD (..., L, h) grid, which the
+    attention takes and its cache keeps; the attention returns its output
+    rows into the LN1 buffer, and everything else runs on the R rows.
+    ``layer`` is a mapping with keys wq, wk, wv, wo, bo, ln1_g, ln1_b,
+    ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b. The residual sums are
+    written over buffers that no cache keeps, and the output to ``out``
+    (which may be ``x``) or to the workspace.
     """
     ws = _workspace(ws)
-    index = np.flatnonzero(mask)
-    grid = _scatter_rows(x, index, ws.get(f"{key}.msa.x", mask.shape + x.shape[-1:], x.dtype))
-    msa, msa_cache = multi_head_attention(
+    grid = _scatter_rows(x, np.flatnonzero(mask), ws.get(f"{key}.msa.x", mask.shape + x.shape[-1:], x.dtype))
+    r1, msa_cache = multi_head_attention(
         grid, mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"], layer["bo"],
         dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
+        out=ws.get(f"{key}.ln1.y", x.shape, x.dtype),
     )
-    r1 = _gather_rows(msa, index, ws.get(f"{key}.ln1.y", x.shape, x.dtype))
     x1, ln1_cache = layer_norm_forward(
         np.add(r1, x, out=r1), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1", out=r1
     )
@@ -409,22 +471,19 @@ def transformer_layer_forward(
     y, ln2_cache = layer_norm_forward(
         np.add(x1, f, out=f), layer["ln2_g"], layer["ln2_b"], ws=ws, key=f"{key}.ln2", out=out
     )
-    return y, {"index": index, "msa": msa_cache, "ln1": ln1_cache, "ffn": ffn_cache, "ln2": ln2_cache}
+    return y, {"msa": msa_cache, "ln1": ln1_cache, "ffn": ffn_cache, "ln2": ln2_cache}
 
 
 def transformer_layer_backward(grad, cache):
     """Gradients of :func:`transformer_layer_forward`; ``grad`` and the
     returned input gradient are (R, h) rows."""
-    index, msa_cache = cache["index"], cache["msa"]
     dr2, dln2_g, dln2_b = layer_norm_backward(grad, cache["ln2"])
     dffn_x, ffn_grads = ffn_backward(dr2, cache["ffn"])
     dx1 = np.add(dr2, dffn_x, out=dffn_x)
     dr1, dln1_g, dln1_b = layer_norm_backward(dx1, cache["ln1"])
-    grid = msa_cache["ws"].get(_GRID, msa_cache["x"].shape, dr1.dtype)
-    dmsa_x, msa_grads = multi_head_attention_backward(_scatter_rows(dr1, index, grid), msa_cache)
+    dmsa_x, msa_grads = multi_head_attention_backward(dr1, cache["msa"])
     # written over dx1, which the LN1 backward has consumed
-    dx = _gather_rows(dmsa_x, index, dx1)
-    dx += dr1
+    dx = np.add(dmsa_x, dr1, out=dx1)
     grads = {**msa_grads, "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b}
     grads.update({"ffn_" + k: g for k, g in ffn_grads.items()})
     return dx, grads
@@ -433,10 +492,15 @@ def transformer_layer_backward(grad, cache):
 def readout_forward(x, mask, *, ws=None):
     """Mean over valid rows: rows (R, h) of the valid slots of ``mask``
     (..., L), in C order -> (..., h); a window with no valid slot -> 0.
-    The sum runs over the rows scattered into a zero-PAD grid."""
+    The sum runs over the rows on a zero-PAD grid, which is ``x`` itself
+    when every slot is valid."""
     ws = _workspace(ws)
     index = np.flatnonzero(mask)
-    grid = _scatter_rows(x, index, ws.get(_GRID, mask.shape + x.shape[-1:], x.dtype))
+    grid_shape = mask.shape + x.shape[-1:]
+    if len(index) == mask.size:
+        grid = x.reshape(grid_shape)
+    else:
+        grid = _scatter_rows(x, index, ws.get(_GRID, grid_shape, x.dtype))
     counts = np.asarray(mask, dtype=x.dtype).sum(axis=-1, keepdims=True)
     sums = grid.sum(axis=-2)
     y = np.divide(sums, counts, out=sums, where=counts > 0)

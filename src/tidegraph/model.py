@@ -26,11 +26,12 @@ Packed rows: :func:`_assemble_tokens` gathers the R valid slots of a batch,
 in :func:`to_sequences` order, into an (R, width) token matrix, and the count
 lift and the season and trend embeddings run on those rows. From there the
 input projection, every transformer layer's LayerNorms, residual sums and
-FFN, and the readout work on (R, ·) rows, and so do their gradients; PAD
-slots have no row. The padded arrays are the :class:`PairBatch` encoder
-outputs and mask, the (S, L) sequence mask, and each layer's attention
-input, scores and weights on the (S, L) grid of :func:`to_sequences` (see
-:mod:`.attention`).
+FFN, the attention's output projection, and the readout work on (R, ·)
+rows, and so do their gradients and the attention's q, k and v weight and
+input gradients; PAD slots have no row. The padded arrays are the
+:class:`PairBatch` encoder outputs and mask, the (S, L) sequence mask, and
+each layer's attention input, q, k and v, scores, weights and context on
+the (S, L) grid of :func:`to_sequences` (see :mod:`.attention`).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from tidegraph.attention import (
     layer_norm_forward,
     masked_softmax,
     multi_head_attention,
+    multi_head_attention_backward,
     readout_forward,
     sigmoid,
     transformer_layer_forward,
@@ -51,6 +52,31 @@ class TestMaskedSoftmax:
         out = masked_softmax(np.ones((2, 2)), np.zeros(2, dtype=bool))
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_masked_copy_and_max(self, dtype):
+        # the reference form: a masked copy of -inf, then np.max over the keys;
+        # some windows have no valid key, so their rows peak at -inf
+        rng = np.random.default_rng(11)
+        scores = (rng.normal(size=(2, 6, 7, 7)) * 4).astype(dtype)
+        scores[0, 0, 0] = 0.0
+        scores[0, 0, 1] = -0.0
+        mask = rng.random((6, 7)) < 0.5
+        mask[1] = False
+        mask[2] = True
+        ref = scores.copy()
+        np.copyto(ref, -np.inf, where=~mask[..., None, :])
+        peak = ref.max(axis=-1, keepdims=True)
+        assert np.isneginf(peak).any()
+        peak[~np.isfinite(peak)] = 0.0
+        ref = np.exp(ref - peak)
+        total = ref.sum(axis=-1, keepdims=True)
+        ref = np.divide(ref, total, out=ref, where=total > 0)
+        got = masked_softmax(scores, mask)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), ref.view(np.uint8))
+        inplace = scores.copy()
+        np.testing.assert_array_equal(masked_softmax(inplace, mask, out=inplace), got)
+
 
 def _naive_mha(x, mask, wq, wk, wv, wo, bo):
     """Per-element reference: explicit loops over heads, queries, keys."""
@@ -78,6 +104,9 @@ def _naive_mha(x, mask, wq, wk, wv, wo, bo):
 
 
 class TestMultiHeadAttention:
+    # the attention returns one row per valid query slot, in C order; a PAD
+    # query slot has no output, so each test compares the valid rows
+
     def test_zero_scores_average_valid_tokens(self):
         rng = np.random.default_rng(2)
         L, h = 5, 4
@@ -89,8 +118,9 @@ class TestMultiHeadAttention:
         wo = np.eye(h)
         out, _ = multi_head_attention(x, mask, wq, wk, wv, wo, np.zeros(h))
         expected = x[mask].mean(axis=0)
-        for a in range(L):
-            np.testing.assert_allclose(out[a], expected, atol=1e-12)
+        assert out.shape == (mask.sum(), h)
+        for row in out:
+            np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_single_valid_token_dominates(self):
         rng = np.random.default_rng(3)
@@ -103,7 +133,7 @@ class TestMultiHeadAttention:
         out, cache = multi_head_attention(x, mask, wq, wk, wv, wo, np.zeros(h))
         attn = cache["attn"]
         np.testing.assert_allclose(attn[:, :, 2], 1.0, atol=1e-12)
-        ref = np.concatenate([np.tile(x[2] @ wv[j], (L, 1)) for j in range(2)], axis=-1) @ wo
+        ref = np.concatenate([x[2] @ wv[j] for j in range(2)], axis=-1)[None] @ wo
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_matches_naive_loops(self):
@@ -119,7 +149,7 @@ class TestMultiHeadAttention:
             bo = rng.normal(size=h)
             got, _ = multi_head_attention(x, mask, wq, wk, wv, wo, bo)
             want = _naive_mha(x, mask, wq, wk, wv, wo, bo)
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            np.testing.assert_allclose(got, want[mask], atol=1e-10)
 
     def test_batched_matches_per_sequence(self):
         rng = np.random.default_rng(5)
@@ -129,9 +159,84 @@ class TestMultiHeadAttention:
         wq, wk, wv = (rng.normal(size=(2, h, 3)) for _ in range(3))
         wo, bo = rng.normal(size=(h, h)), rng.normal(size=h)
         batched, _ = multi_head_attention(x, mask, wq, wk, wv, wo, bo)
+        # the batch's rows are the sequences' rows, sequence by sequence
+        starts = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
         for b in range(B):
             single, _ = multi_head_attention(x[b], mask[b], wq, wk, wv, wo, bo)
-            np.testing.assert_allclose(batched[b], single, atol=1e-12)
+            np.testing.assert_allclose(batched[starts[b] : starts[b + 1]], single, atol=1e-12)
+
+
+def _mha_inputs(rng, full=False, dtype=np.float64):
+    """A zero-PAD (S, L, h) grid with PAD slots, an all-PAD window and a full
+    one (or every slot valid), its mask, and the attention's weights."""
+    S, L, h, heads, d_head = 4, 5, 6, 2, 3
+    mask = np.ones((S, L), bool) if full else rng.random((S, L)) < 0.6
+    if not full:
+        mask[0], mask[1] = False, True
+        mask[2, [0, 3]] = False, True
+    x = np.zeros((S, L, h))
+    x[mask] = rng.normal(size=(mask.sum(), h))
+    weights = [rng.normal(size=(heads, h, d_head)) * 0.5 for _ in range(3)]
+    weights += [rng.normal(size=(heads * d_head, h)) * 0.5, rng.normal(size=h)]
+    return x.astype(dtype), mask, [w.astype(dtype) for w in weights]
+
+
+def _mha_train(x, mask, weights, grad):
+    """Forward with dropout (a fixed generator, so a fixed dropout mask),
+    then backward; returns the output rows, input-row and weight gradients."""
+    y, cache = multi_head_attention(
+        x, mask, *weights, dropout_rate=0.3, rng=np.random.default_rng(12), training=True
+    )
+    y = y.copy()
+    dx, grads = multi_head_attention_backward(grad, cache)
+    return y, dx.copy(), {name: g.copy() for name, g in grads.items()}
+
+
+class TestMultiHeadAttentionRows:
+    def test_pad_garbage_changes_nothing(self):
+        # finite garbage in the PAD slots of the input grid reaches only PAD
+        # query rows and masked keys, whose weights and gradients are exact
+        # zeros, so outputs and gradients are bitwise equal
+        rng = np.random.default_rng(13)
+        x, mask, weights = _mha_inputs(rng, dtype=np.float32)
+        grad = rng.normal(size=(mask.sum(), x.shape[-1])).astype(np.float32)
+        dirty = x.copy()
+        dirty[~mask] = rng.uniform(-1e3, 1e3, size=((~mask).sum(), x.shape[-1]))
+        clean_run, dirty_run = _mha_train(x, mask, weights, grad), _mha_train(dirty, mask, weights, grad)
+        for a, b in zip(clean_run[:2], dirty_run[:2]):
+            np.testing.assert_array_equal(a, b)
+        for name, g in clean_run[2].items():
+            np.testing.assert_array_equal(dirty_run[2][name], g, err_msg=name)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_backward_matches_central_differences(self, full):
+        # float64; the loss is <G, y> over the valid output rows, and the
+        # input gradient is that of the valid slots of the grid
+        rng = np.random.default_rng(14)
+        x, mask, weights = _mha_inputs(rng, full=full)
+        grad = rng.normal(size=(mask.sum(), x.shape[-1]))
+        _, dx, grads = _mha_train(x, mask, weights, grad)
+        rows = x[mask]
+
+        def loss():
+            grid = np.zeros_like(x)
+            grid[mask] = rows
+            return float((_mha_train(grid, mask, weights, grad)[0] * grad).sum())
+
+        eps = 1e-6
+        params = [("x", rows, dx)] + [(name, w, grads[name]) for name, w in zip(("wq", "wk", "wv", "wo", "bo"), weights)]
+        for name, array, analytic in params:
+            assert analytic.shape == array.shape, name
+            numeric = np.zeros_like(array)
+            for i in np.ndindex(array.shape):
+                keep = array[i]
+                array[i] = keep + eps
+                up = loss()
+                array[i] = keep - eps
+                down = loss()
+                array[i] = keep
+                numeric[i] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 def _layer_params(rng, h, zero=False):
@@ -212,6 +317,16 @@ class TestReadout:
         mask = np.zeros(3, bool)
         out, _ = readout_forward(np.ones((3, 4))[mask], mask)
         np.testing.assert_array_equal(out, np.zeros(4))
+
+    def test_full_grid_sums_rows_in_place(self):
+        # with every slot valid the rows are summed as a grid view; a PAD
+        # window next to them sends the same rows through the scattered grid
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(12, 5)).astype(np.float32)
+        full, _ = readout_forward(rows, np.ones((3, 4), bool))
+        padded, _ = readout_forward(rows, np.vstack([np.ones((3, 4), bool), np.zeros((1, 4), bool)]))
+        np.testing.assert_array_equal(full, padded[:3])
+        np.testing.assert_array_equal(padded[3], np.zeros(5))
 
     def test_two_rows_mean(self):
         x = np.stack([np.full(4, 2.0), np.full(4, 6.0), np.full(4, 100.0)])

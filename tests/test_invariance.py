@@ -8,11 +8,20 @@
   shuffled copy of the batch. This holds to float32 rounding, not bitwise:
   a GEMM's blocking depends on its row count.
 
-Both run on one set of parameters, so they also check that the step
+* Future perturbation: rewriting every event at or after a pair's query
+  time (ids, times and edge features; the node universe is kept) leaves the
+  probability of that pair, and of every earlier pair in its batch, bitwise
+  equal when the batch holds no later pair. Windows are cut strictly before
+  the query time. With later pairs in the batch, whose windows the rewrite
+  changes, it holds to float32 rounding, as batch invariance does.
+
+These run on one set of parameters, so they also check that the step
 workspace, reused across batch sizes, leaks nothing from one batch into the
-next. BIE cannot pass batch invariance yet: its counts are read through
-dictionaries built from the whole batch (the ROADMAP item "Correctness: BIE
-must depend on the pair alone"), so that case is a strict xfail.
+next. BIE cannot pass batch invariance, or future perturbation with later
+pairs in the batch, yet: its counts are read through dictionaries built
+from the whole batch, where a later pair's window can replace an earlier
+one's (the ROADMAP item "Correctness: BIE must depend on the pair alone"),
+so those cases are strict xfails.
 """
 
 import dataclasses
@@ -23,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tidegraph.encoders import MteConfig
+from tidegraph.events import EventStore
 from tidegraph.harness import sample_pair_windows
 from tidegraph.model import ModelConfig, ModelParameters, featurize_pairs, predict_probs
 from tidegraph.sampling import NeighborSampler
@@ -103,3 +113,73 @@ def test_pair_scores_alone_in_batch_and_shuffled(case, seed, size):
 @example(seed=0, size=12)
 def test_bie_pair_scores_alone_in_batch_and_shuffled(seed, size):
     _check_batch_invariance("il+bie", seed, size)
+
+
+def _rewrite_from(store, t, rng):
+    """``store`` with every event at or after ``t`` replaced by a random one
+    at or after ``t``, over the same nodes."""
+    keep = store.timestamps < t
+    n = int((~keep).sum())
+    times = np.sort(rng.uniform(t, 2 * store.timestamps[-1], n))
+    times[0] = t
+    return EventStore(
+        np.concatenate([store.src[keep], rng.integers(0, store.num_nodes, n)]),
+        np.concatenate([store.tgt[keep], rng.integers(0, store.num_nodes, n)]),
+        np.concatenate([store.timestamps[keep], times]),
+        np.concatenate([store.edge_features[keep], rng.normal(size=(n, store.d_e))]),
+        num_nodes=store.num_nodes, node_features=store.node_features,
+    )
+
+
+def _check_future_perturbation(case, seed, *, later_pairs):
+    """Score eight positives at distinct times and a negative of the k-th at
+    its time t, on the corpus and on it with every event from t rewritten.
+
+    Without ``later_pairs`` the batch holds only the pairs at or before t,
+    whose windows the rewrite cannot reach: every input and every array
+    shape is the same, so the probabilities are bitwise equal. With them,
+    the later pairs' windows change, and with them the row count of every
+    GEMM, so the earlier pairs agree to float32 rounding, as under batch
+    invariance.
+    """
+    cfg = CASES[case]
+    rng = np.random.default_rng(seed)
+    pairs = _pairs(np.sort(rng.choice(np.arange(20, STORE.num_events), size=8, replace=False)))
+    src, _, t = pairs[int(rng.integers(0, 8))]
+    pairs.append((src, int(rng.integers(0, STORE.num_nodes)), t))
+    if not later_pairs:
+        pairs = [pair for pair in pairs if pair[2] <= t]
+    before = [i for i, pair in enumerate(pairs) if pair[2] <= t]
+    params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=seed % 97)
+
+    def probs(store):
+        seq_pairs, index = sample_pair_windows(NeighborSampler(store), pairs, cfg)
+        return predict_probs(params, cfg, featurize_pairs(seq_pairs, index, store, cfg))[before]
+
+    moved, kept = probs(_rewrite_from(STORE, t, rng)), probs(STORE)
+    if later_pairs:
+        np.testing.assert_allclose(moved, kept, rtol=0, atol=1e-6)
+    else:
+        np.testing.assert_array_equal(moved, kept)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_future_events_do_not_move_probabilities(case, seed):
+    _check_future_perturbation(case, seed, later_pairs=False)
+
+
+@pytest.mark.parametrize("case", ["il", "sl", "ml"])
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_future_events_in_batch_do_not_move_probabilities(case, seed):
+    _check_future_perturbation(case, seed, later_pairs=True)
+
+
+@pytest.mark.xfail(strict=True, reason="BIE reads later pairs' windows (ROADMAP: BIE must depend on the pair alone)")
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_bie_future_events_in_batch_do_not_move_probabilities(seed):
+    _check_future_perturbation("il+bie", seed, later_pairs=True)

@@ -99,7 +99,9 @@ def test_pad_rows_cost_nothing(layout):
         assert x.shape == (rows, h) and hidden.shape == (rows, 4 * h)
         for ln in ("ln1", "ln2"):
             assert layer[ln][0].shape == (rows, h), ln  # the normalized rows
-        assert len(layer["index"]) == rows
+        # the attention's projections and output run on the rows too
+        assert len(layer["msa"]["index"]) == rows
+        assert layer["msa"]["concat"].shape == (rows, h)
 
     # dropout draws one float64 uniform per real FFN unit and per attention
     # weight of the padded (J, S, L, L) grid, layer after layer, and nothing else
