@@ -24,7 +24,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from .errors import ConfigError, LeakageError
-from .sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
+from .sampling import BatchNeighborIndex, NeighborSequence
 
 __all__ = [
     "GRANULARITY_SECONDS",
@@ -171,11 +171,11 @@ def mix_temporal(fine: np.ndarray, coarse_term: np.ndarray, combine: str = "sum"
 class ReconstructedSequence:
     """A neighbor window after cross-side reconstruction.
 
-    ``replacements`` maps token positions to the real neighbor ids (an array)
-    that the token was expanded into by a successful dictionary lookup;
-    untouched positions keep their own id. The merged ids, the kept real
-    tokens followed by every replacement array, are what the opposite side's
-    tokens are counted against.
+    ``replacements`` maps token positions to the real neighbor ids that the
+    token was expanded into by a successful dictionary lookup (the retrieved
+    window's read-only ``real_ids``); untouched positions keep their own id.
+    The merged ids, the kept real tokens followed by every replacement array,
+    are what the opposite side's tokens are counted against.
     """
 
     base: NeighborSequence
@@ -183,9 +183,9 @@ class ReconstructedSequence:
 
     def merged_ids(self) -> np.ndarray:
         """Non-PAD ids of the reconstructed window, as one array."""
-        keep = self.base.mask
-        keep[list(self.replacements)] = False
-        return np.concatenate([self.base.ids[keep], *self.replacements.values()])
+        real = self.base.real_ids
+        kept = [v for k, v in enumerate(real.tolist(), self.base.n - real.size) if k not in self.replacements]
+        return np.concatenate([np.array(kept, dtype=np.int64), *self.replacements.values()])
 
 
 def bie_reconstruct(
@@ -201,43 +201,41 @@ def bie_reconstruct(
     replaces the token by the retrieved window's neighbor ids; a miss leaves
     it unchanged. Anchors, PAD slots, and shared neighbors are never touched.
     """
-    src_list, tgt_list = src_seq.ids.tolist(), tgt_seq.ids.tolist()
-    skip = (set(src_list) & set(tgt_list)) | {PAD_ID, src_seq.anchor, tgt_seq.anchor}
+    src_list, tgt_list = src_seq.real_ids.tolist(), tgt_seq.real_ids.tolist()
+    skip = (set(src_list) & set(tgt_list)) | {src_seq.anchor, tgt_seq.anchor}
 
     def reconstruct(seq: NeighborSequence, ids: list[int], opposite: dict[int, NeighborSequence]):
-        replacements: dict[int, np.ndarray] = {}
-        for k, v in enumerate(ids):
-            hit = None if v in skip else opposite.get(v)
-            if hit is not None:
-                replacements[k] = hit.ids[hit.mask]
+        slots = enumerate(ids, start=seq.n - len(ids))  # window positions of the real ids
+        replacements = {k: opposite[v].real_ids for k, v in slots if v not in skip and v in opposite}
         return ReconstructedSequence(base=seq, replacements=replacements)
 
     return reconstruct(src_seq, src_list, index.tgt_index), reconstruct(tgt_seq, tgt_list, index.src_index)
 
 
-def _occurrences(ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """How often each entry of ``ids`` occurs in ``pool``."""
-    return np.count_nonzero(ids[:, None] == pool[None, :], axis=1)
-
-
 def bie_counts(
     src_new: ReconstructedSequence, tgt_new: ReconstructedSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token (source-side, target-side) interaction counts, shape (n, 2).
+    """Per-token (source-side, target-side) interaction counts, (n, 2) per window.
 
-    Counts are taken by id equality on arrays. A token's own-side count
-    compares it with its own window's real ids; its cross-side count compares
-    it with the opposite window's merged ids *after* reconstruction, which is
-    where the widened receptive field pays off. Tokens equal to either anchor
-    carry the pair's mutual counts (how often each anchor occurs in the other
-    one's window). PAD slots come out (0, 0): no pool holds PAD.
+    A token's own-side count is how often its id occurs in its own window's
+    real ids; its cross-side count, in the opposite window's merged ids
+    *after* reconstruction, which is where the widened receptive field pays
+    off. Tokens equal to either anchor carry the pair's mutual counts (how
+    often each anchor occurs in the other one's window). Node ids lie in
+    [0, 2**61), PAD is -1. Pool j's id v is keyed ``j * span + v + 1``; the
+    four pools are sorted as one array and each token counted by two
+    ``np.searchsorted`` lookups, O(m log m) in the pools' size m whatever
+    the id range. PAD keys are in no pool, so PAD slots come out (0, 0).
     """
     src_seq, tgt_seq = src_new.base, tgt_new.base
-    src_real, tgt_real = src_seq.ids[src_seq.mask], tgt_seq.ids[tgt_seq.mask]
-    src_merged, tgt_merged = src_new.merged_ids(), tgt_new.merged_ids()
-    i_src = np.stack([_occurrences(src_seq.ids, src_real), _occurrences(src_seq.ids, tgt_merged)], axis=1)
-    i_tgt = np.stack([_occurrences(tgt_seq.ids, src_merged), _occurrences(tgt_seq.ids, tgt_real)], axis=1)
-    mutual = (np.count_nonzero(src_real == tgt_seq.anchor), np.count_nonzero(tgt_real == src_seq.anchor))
+    pools = (src_seq.real_ids, tgt_new.merged_ids(), src_new.merged_ids(), tgt_seq.real_ids)
+    flat = np.concatenate(pools)
+    shift = np.arange(4) * (max(flat.max(initial=-1), src_seq.anchor, tgt_seq.anchor) + 2) + 1
+    keys = np.sort(flat + shift.repeat([p.size for p in pools]))
+    at = np.concatenate([np.add.outer(src_seq.ids, shift[:2]), np.add.outer(tgt_seq.ids, shift[2:]),
+                         [[tgt_seq.anchor + shift[0], src_seq.anchor + shift[3]]]])  # last row: mutual counts
+    counts = np.searchsorted(keys, at, "right") - np.searchsorted(keys, at, "left")
+    i_src, i_tgt, mutual = counts[: src_seq.n], counts[src_seq.n : -1], counts[-1]
     for ids, out in ((src_seq.ids, i_src), (tgt_seq.ids, i_tgt)):
         out[(ids == src_seq.anchor) | (ids == tgt_seq.anchor)] = mutual
     return i_src, i_tgt

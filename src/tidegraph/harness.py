@@ -148,11 +148,8 @@ def evaluate_link_prediction(
     lo, hi = ev_range
     idx = np.arange(lo, hi)
     if setting == "inductive":
-        unseen = inductive_mask(store, splits.train)
-        touched = np.array(
-            [int(store.src[i]) in unseen or int(store.tgt[i]) in unseen for i in idx]
-        ) if unseen else np.zeros(len(idx), dtype=bool)
-        idx = idx[touched]
+        unseen = np.fromiter(inductive_mask(store, splits.train), dtype=np.int64)
+        idx = idx[np.isin(store.src[idx], unseen) | np.isin(store.tgt[idx], unseen)]
         if len(idx) == 0:
             raise MetricError("inductive evaluation has no positives touching unseen nodes")
 

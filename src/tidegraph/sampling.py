@@ -10,6 +10,7 @@ must additionally honor the validity mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ PAD_ID = -1
 
 @dataclass
 class NeighborSequence:
-    """Length-n chronological window of one node's first-order history."""
+    """Length-n chronological window of one node's first-order history; PAD slots form a prefix."""
 
     anchor: int
     query_time: float
@@ -47,6 +48,13 @@ class NeighborSequence:
     def mask(self) -> np.ndarray:
         """True on real interactions, False on PAD slots."""
         return self.ids != PAD_ID
+
+    @cached_property
+    def real_ids(self) -> np.ndarray:
+        """``ids[mask]`` as a read-only view of the tail of ``ids`` (PAD is a prefix)."""
+        real = self.ids[np.count_nonzero(self.ids == PAD_ID) :]
+        real.flags.writeable = False
+        return real
 
 
 class NeighborSampler:
@@ -194,12 +202,9 @@ class NegativeSampler:
             }
         if strategy.kind == "inductive":
             lo, hi = train_range
-            first_seen: dict[tuple[int, int], int] = {}
-            for i in range(store.num_events):
-                key = (int(store.src[i]), int(store.tgt[i]))
-                if key not in first_seen:
-                    first_seen[key] = i
-            self._new_pairs = {k for k, i in first_seen.items() if i < lo or i >= hi}
+            _, first = np.unique(np.stack([store.src, store.tgt], axis=1), axis=0, return_index=True)
+            first = first[(first < lo) | (first >= hi)]
+            self._new_pairs = set(zip(store.src[first].tolist(), store.tgt[first].tolist()))
 
     def _random_target(self, exclude: int) -> int:
         u = self.universe

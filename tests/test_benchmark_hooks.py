@@ -23,7 +23,12 @@ from perfbench.worker import (
     model_config,
 )
 from perfbench.workloads import WORKLOADS
-from tidegraph.model import ModelParameters, save_checkpoint
+import tidegraph.model
+from tidegraph import harness
+from tidegraph.encoders import ReconstructedSequence
+from tidegraph.model import ModelConfig, ModelParameters, save_checkpoint
+from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
+from tidegraph.synth import generate_hotnode_corpus
 
 
 class RecordingPatches(Patches):
@@ -86,3 +91,40 @@ def test_checked_round_passes(name, tmp_path):
         traced = run_round()
     assert tracer.num_batches == w.round_shape()[0]
     assert checks.check_same(reference, traced, "the traced round") == []
+
+
+def test_bie_hooks_run_once_per_pair(monkeypatch):
+    """perfbench's ``bie.*`` counters and per-pair spans wrap
+    ``tidegraph.model.bie_reconstruct`` and ``bie_counts``: ``featurize_pairs``
+    must call each exactly once per pair, and every reconstruct result must
+    carry ``.replacements`` (position -> id array) and ``.base``."""
+    reconstruct, count = tidegraph.model.bie_reconstruct, tidegraph.model.bie_counts
+    reconstructed, counted = [], []
+
+    def recording_reconstruct(src_seq, tgt_seq, index):
+        out = reconstruct(src_seq, tgt_seq, index)
+        reconstructed.append(((src_seq, tgt_seq), out))
+        return out
+
+    def recording_counts(*args):
+        counted.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(tidegraph.model, "bie_reconstruct", recording_reconstruct)
+    monkeypatch.setattr(tidegraph.model, "bie_counts", recording_counts)
+    store, _, _ = generate_hotnode_corpus(num_events=400)
+    cfg = ModelConfig(n_neighbors=8)
+    pos = [(int(store.src[i]), int(store.tgt[i]), float(store.timestamps[i])) for i in range(300, 340)]
+    negatives = NegativeSampler(store, NegativeSamplingStrategy("historical", seed=1), train_range=(0, 300))
+    batch, _ = harness.build_scoring_batch(NeighborSampler(store), store, cfg, pos, negatives.sample(pos)[0])
+
+    assert batch.num_pairs == 2 * len(pos)
+    assert len(reconstructed) == len(counted) == batch.num_pairs
+    hits = 0
+    for ((src_seq, tgt_seq), out), args in zip(reconstructed, counted):
+        assert len(args) == 2 and args[0] is out[0] and args[1] is out[1]
+        for rec, seq in zip(out, (src_seq, tgt_seq)):
+            assert isinstance(rec, ReconstructedSequence) and rec.base is seq
+            assert all(isinstance(k, int) and v.ndim == 1 for k, v in rec.replacements.items())
+            hits += len(rec.replacements)
+    assert hits > 0

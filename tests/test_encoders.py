@@ -1,6 +1,7 @@
 """Temporal encoding, interaction counting, and season-trend decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,69 @@ class TestCountsOracle:
             want = brute_force_counts(src_seq, tgt_seq, index)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+    def test_id_range_and_window_lengths(self):
+        """Ids 0 and ``num_nodes - 1`` of universes up to 2**40, source and
+        target windows of different lengths, and empty and non-empty
+        dictionaries; each side's counts are C-contiguous int64 (n, 2), and
+        every window's ``real_ids`` is the read-only ``ids[mask]``."""
+        rng = np.random.default_rng(16)
+        seen = dict.fromkeys(["id_0", "id_max", "no_replacements", "replacements", "lengths_differ"], 0)
+        for _ in range(300):
+            num_nodes = int(rng.choice([2, 30, 2**20, 2**40]))
+            universe = np.unique(np.concatenate([[0, num_nodes - 1], rng.integers(0, num_nodes, 10)]))
+            n_src, n_tgt = (int(v) for v in rng.integers(1, 13, 2))
+            src_anchor, tgt_anchor = (int(v) for v in rng.choice(universe, 2))
+
+            def window(anchor, n):
+                return make_seq(anchor, rng.choice(universe, int(rng.integers(0, n + 1))).tolist(), n=n)
+
+            src_seq, tgt_seq = window(src_anchor, n_src), window(tgt_anchor, n_tgt)
+            dicts = [{int(v): window(int(v), int(rng.integers(1, 13))) for v in rng.choice(universe, k)}
+                     for k in rng.choice([0, 4], 2)]
+            src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, BatchNeighborIndex(*dicts))
+
+            got = bie_counts(src_new, tgt_new)
+            want = brute_force_counts(src_seq, tgt_seq, BatchNeighborIndex(*dicts))
+            for g, w, n in zip(got, want, (n_src, n_tgt)):
+                assert g.shape == (n, 2) and g.dtype == np.int64 and g.flags.c_contiguous
+                np.testing.assert_array_equal(g, w)
+            for seq in (src_seq, tgt_seq, *dicts[0].values(), *dicts[1].values()):
+                np.testing.assert_array_equal(seq.real_ids, seq.ids[seq.mask])
+                assert not seq.real_ids.flags.writeable
+
+            ids = np.concatenate([src_seq.ids, tgt_seq.ids])
+            seen["id_0"] += bool((ids == 0).any())
+            seen["id_max"] += bool((ids == num_nodes - 1).any())
+            seen["replacements" if src_new.replacements or tgt_new.replacements else "no_replacements"] += 1
+            seen["lengths_differ"] += n_src != n_tgt
+        assert all(seen.values()), seen
+
+    def test_memory_independent_of_id_range(self):
+        """A pair over ids near 10**7 allocates no table indexed by id."""
+        base = 10**7
+        src_seq = make_seq(base, [base + 1, base + 2, base + 3], n=4)
+        tgt_seq = make_seq(base + 9, [base + 2, base + 4, base + 5], n=4)
+        index = BatchNeighborIndex({}, {base + 1: make_seq(base + 1, [base + 9, base + 6], n=4)})
+        src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, index)
+        tracemalloc.start()
+        try:
+            got = bie_counts(src_new, tgt_new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        want = brute_force_counts(src_seq, tgt_seq, index)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestRealIds:
+    def test_real_ids_is_the_tail_view(self):
+        seq = make_seq(3, [0, 7, 7], n=5)
+        np.testing.assert_array_equal(seq.real_ids, [0, 7, 7])
+        assert seq.real_ids is seq.real_ids and np.shares_memory(seq.real_ids, seq.ids)
+        assert make_seq(3, [], n=4).real_ids.shape == (0,)
 
 
 class TestBatchCounts:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tidegraph.errors import LeakageError
-from tidegraph.events import EventStore
+from tidegraph import harness
+from tidegraph.errors import LeakageError, MetricError
+from tidegraph.events import EventStore, SplitRanges, inductive_mask
 from tidegraph.harness import sample_pair_windows
 from tidegraph.model import ModelConfig
 from tidegraph.sampling import (
@@ -227,3 +228,76 @@ class TestNegativeSampling:
         neg, _ = _negatives(store, [(0, 11, 4.0)] * 200, strat)
         assert 11 not in set(neg)
         assert set(neg) == {10, 12}
+
+
+def _random_store(rng, num_events=300):
+    """Sources 0..9 and targets 10..29, plus late-only nodes 30..39 that
+    enter in the last third, with repeated (src, tgt) pairs throughout."""
+    src = rng.integers(0, 10, num_events)
+    tgt = rng.integers(10, 30, num_events)
+    late = np.arange(num_events) >= 2 * num_events // 3
+    fresh = late & (rng.random(num_events) < 0.3)
+    tgt[fresh] = rng.integers(30, 40, int(fresh.sum()))
+    fresh_src = late & (rng.random(num_events) < 0.1)
+    src[fresh_src] = rng.integers(30, 40, int(fresh_src.sum()))
+    return EventStore(src, tgt, np.arange(num_events, dtype=np.float64), np.zeros((num_events, 1)))
+
+
+class TestInductiveArrays:
+    """The inductive pools, built with array operations, against the loop
+    forms they replace."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_new_pairs_match_first_seen_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        store = _random_store(rng)
+        for lo, hi in ((0, 200), (50, 150), (0, store.num_events), (120, 121)):
+            first_seen = {}
+            for i in range(store.num_events):
+                first_seen.setdefault((int(store.src[i]), int(store.tgt[i])), i)
+            want = {k for k, i in first_seen.items() if i < lo or i >= hi}
+            got = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (lo, hi))._new_pairs
+            assert got == want
+            assert all(type(s) is int and type(t) is int for s, t in got)
+
+    def test_new_pairs_with_ids_past_32_bits(self):
+        # keyed as src * (max_tgt + 1) + tgt in int64, these two pairs would
+        # wrap onto the same key: 2**32 * 2**32 is 2**64
+        big = 2**32
+        store = EventStore(np.array([0, big, 5]), np.array([big - 1, big - 1, 7]),
+                           np.arange(3, dtype=np.float64), np.zeros((3, 1)))
+        got = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (2, 3))._new_pairs
+        assert got == {(0, big - 1), (big, big - 1)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_touched_positives_match_loop(self, seed, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def recording(store, idx):
+            seen.append(np.asarray(idx))
+            raise Stop
+
+        monkeypatch.setattr(harness, "_event_pairs", recording)
+        rng = np.random.default_rng(seed)
+        store = _random_store(rng)
+        splits = SplitRanges(train=(0, 200), val=(200, 250), test=(250, 300))
+        for ev_range in (splits.val, splits.test, (0, 300)):
+            unseen = inductive_mask(store, splits.train)
+            want = [i for i in range(*ev_range) if int(store.src[i]) in unseen or int(store.tgt[i]) in unseen]
+            assert want, "the random store should have positives touching unseen nodes"
+            seen = []
+            with pytest.raises(Stop):
+                harness.evaluate_link_prediction(
+                    None, ModelConfig(), store, None, ev_range,
+                    splits=splits, setting="inductive", batch_size=10**6,
+                )
+            np.testing.assert_array_equal(seen[0], want)
+
+        # every node seen in training, or an empty range: a MetricError, not an IndexError
+        whole = SplitRanges(train=(0, 300), val=(200, 250), test=(250, 300))
+        for split, ev_range in ((whole, whole.test), (splits, (250, 250))):
+            with pytest.raises(MetricError):
+                harness.evaluate_link_prediction(
+                    None, ModelConfig(), store, None, ev_range, splits=split, setting="inductive",
+                )
