@@ -224,7 +224,7 @@ def linear_backward(grad, x, w, *, out=None, need_dx=True):
     """Gradients (dx, dw, db) of :func:`linear_forward`, leading axes summed;
     dx is written to ``out``, or skipped (None) when ``need_dx`` is false."""
     flat_g = grad.reshape(-1, grad.shape[-1])
-    dw = x.reshape(-1, x.shape[-1]).T @ flat_g
+    dw = x.reshape(len(flat_g), x.shape[-1]).T @ flat_g  # x may be zero-wide
     dx = np.matmul(grad, w.T, out=out) if need_dx else None
     return dx, dw, flat_g.sum(axis=0)
 

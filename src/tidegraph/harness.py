@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +421,7 @@ def variant_config(base: ModelConfig, layout: str, variant: str) -> ModelConfig:
         changes["use_ste"] = variant != "-ste"
     else:
         changes["time_mode"] = "none" if variant == "-mte" else "fine"
-    return base.variant(**changes)
+    return replace(base, **changes)
 
 
 def ablate(
@@ -432,29 +432,27 @@ def ablate(
     variants=ABLATION_VARIANTS,
     epochs: int | None = None,
 ) -> list[dict]:
-    """Train/evaluate every (layout, variant) cell under shared seed and splits."""
+    """Train/evaluate every (layout, variant) cell under shared seed and
+    splits; all configs are built first, and equal ones train once."""
+    train_cfg = run_cfg.train if epochs is None else replace(run_cfg.train, epochs=epochs)
+    cells = [(layout, variant, replace(run_cfg, model=variant_config(run_cfg.model, layout, variant),
+                                       train=train_cfg, trace=None))
+             for layout in layouts for variant in variants]
+    test_by_config: dict[str, dict] = {}  # keyed by config_hash
     rows = []
-    for layout in layouts:
-        for variant in variants:
-            cfg = variant_config(run_cfg.model, layout, variant)
-            cell = RunConfig(
-                model=cfg,
-                train=run_cfg.train if epochs is None else
-                type(run_cfg.train)(**{**run_cfg.train.__dict__, "epochs": epochs}),
-                split=run_cfg.split,
-                nss=run_cfg.nss,
-                setting=run_cfg.setting,
-            )
-            result = train(store, cell)
-            rows.append(
-                {
-                    "layout": layout,
-                    "variant": variant,
-                    "token_width": cfg.token_width(store.d_n, store.d_e),
-                    "test_ap": result.report["test"]["ap"],
-                    "test_auc": result.report["test"]["auc"],
-                }
-            )
+    for layout, variant, cell in cells:
+        key = config_hash(cell)
+        if key not in test_by_config:
+            test_by_config[key] = train(store, cell).report["test"]
+        rows.append(
+            {
+                "layout": layout,
+                "variant": variant,
+                "token_width": cell.model.token_width(store.d_n, store.d_e),
+                "test_ap": test_by_config[key]["ap"],
+                "test_auc": test_by_config[key]["auc"],
+            }
+        )
     return rows
 
 

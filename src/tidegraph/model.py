@@ -36,7 +36,7 @@ the (S, L) grid of :func:`to_sequences` (see :mod:`.attention`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import copy
 import json
@@ -113,6 +113,9 @@ class ModelConfig:
         for name in ("n_neighbors", "hidden", "layers", "heads", "d_b", "d_s", "d_tr"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.ste_active and (self.ste_window % 2 == 0 or not 1 <= self.ste_window <= self.n_neighbors):
+            raise ConfigError(f"ste_window must be an odd integer in [1, n_neighbors={self.n_neighbors}], "
+                              f"got {self.ste_window}")
 
     @property
     def d_head(self) -> int:
@@ -141,9 +144,6 @@ class ModelConfig:
         if self.ste_active:
             w += self.d_s + self.d_tr
         return w
-
-    def variant(self, **changes) -> "ModelConfig":
-        return replace(self, **changes)
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -270,9 +270,9 @@ def featurize_pairs(
 ) -> PairBatch:
     """Run the fixed encoders over sampled window pairs.
 
-    A token is the raw feature block (neighbor node features plus edge
-    features, zero on PAD slots) followed by layout-specific context columns,
-    which :func:`_assemble_tokens` concatenates in this order:
+    A token is the raw feature block (node features by id and edge features
+    by event id, zero on PAD slots) followed by layout-specific context
+    columns, which :func:`_assemble_tokens` concatenates in this order:
 
     * ``sl`` - one window per node, tokens ``[features || fine-time]``;
     * ``ml`` - ``sl`` tokens; :func:`to_sequences` stacks the source and
@@ -289,14 +289,13 @@ def featurize_pairs(
     n = seq_pairs[0][0].n
     seqs = [sp[0] for sp in seq_pairs] + [sp[1] for sp in seq_pairs]
 
-    h = np.stack([seq.edge_feats for seq in seqs])
     times = np.stack([seq.times for seq in seqs])
     qtimes = np.array([[seq.query_time] for seq in seqs], dtype=np.float64)
     token_ids = np.stack([seq.ids for seq in seqs])
     mask = token_ids != PAD_ID
-    if store.d_n:
-        node_block = np.where(mask[..., None], store.node_features[np.where(mask, token_ids, 0)], 0.0)
-        h = np.concatenate([node_block, h], axis=-1)
+    h = np.zeros((2 * p, n, store.d_n + store.d_e))
+    eids = np.stack([seq.event_ids for seq in seqs])[mask]
+    h[mask] = np.concatenate([store.node_features[token_ids[mask]], store.edge_features[eids]], axis=1)
 
     tmix = None
     if cfg.time_mode != "none":

@@ -1,10 +1,11 @@
-"""First-order neighbor sequences, per-batch indices, and negative sampling.
+"""First-order neighbor windows, per-batch indices, and negative sampling.
 
-All sampling is pure given (store, rng state). Sequences are left-padded:
-PAD slots occupy a contiguous prefix so the most recent interaction is always
-the last token. PAD slots carry zero features and timestamp equal to the
-query time, which makes their fine time offset exactly zero; downstream code
-must additionally honor the validity mask.
+All sampling is pure given (store, rng state) and reads one index of node
+history, :class:`NeighborSampler`. Windows are left-padded: PAD slots occupy
+a contiguous prefix so the most recent interaction is always the last token.
+PAD slots hold event id -1 and timestamp equal to the query time, which makes
+their fine time offset exactly zero; featurization zeroes their features, and
+downstream code must additionally honor the validity mask.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class NeighborSequence:
     query_time: float
     ids: np.ndarray  # (n,) int64, PAD_ID marks padding
     times: np.ndarray  # (n,) float64, PAD slots hold query_time
-    edge_feats: np.ndarray  # (n, d_e), PAD rows are zero
     event_ids: np.ndarray  # (n,) int64, PAD slots hold -1
 
     @property
@@ -58,27 +58,25 @@ class NeighborSequence:
 
 
 class NeighborSampler:
-    """Per-node chronological adjacency supporting recent/uniform windows.
+    """Every node's chronological history, as TGL's time-sorted adjacency.
 
-    The adjacency is built once from the store (each event contributes one
-    entry to both endpoints); individual queries then cost a binary search
-    plus the window size.
+    Each event gives one entry to both endpoints, sorted by (node, time,
+    event id); ``_from_src`` marks the entries anchored at the event's
+    source. A query binary-searches the node column and then the anchor's
+    times, so nothing here grows with the largest node id.
     """
 
     def __init__(self, store: EventStore):
-        self.store = store
         n = store.num_events
         nodes = np.concatenate([store.src, store.tgt])
-        partners = np.concatenate([store.tgt, store.src])
         times = np.concatenate([store.timestamps, store.timestamps])
-        eids = np.concatenate([np.arange(n), np.arange(n)])
+        eids = np.tile(np.arange(n), 2)
         order = np.lexsort((eids, times, nodes))
         self._nodes = nodes[order]
-        self._partners = partners[order]
+        self._partners = np.concatenate([store.tgt, store.src])[order]
         self._times = times[order]
         self._eids = eids[order]
-        counts = np.bincount(self._nodes, minlength=store.num_nodes) if len(nodes) else np.zeros(store.num_nodes, dtype=np.int64)
-        self._ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self._from_src = order < n
 
     def sample(
         self,
@@ -92,8 +90,8 @@ class NeighborSampler:
             raise ValueError(f"window length must be >= 1, got {n}")
         if query_time < 0:
             raise ValueError(f"query_time must be non-negative, got {query_time}")
-        lo, hi = self._ptr[anchor], self._ptr[anchor + 1]
-        cut = lo + np.searchsorted(self._times[lo:hi], query_time, side="left")
+        lo, hi = self._nodes.searchsorted([anchor, anchor + 1])
+        cut = lo + self._times[lo:hi].searchsorted(query_time, side="left")
         if strategy == "recent":
             picked = np.arange(max(lo, cut - n), cut)
         elif strategy == "uniform":
@@ -111,12 +109,10 @@ class NeighborSampler:
         ids = np.full(n, PAD_ID, dtype=np.int64)
         times = np.full(n, query_time, dtype=np.float64)
         eids = np.full(n, -1, dtype=np.int64)
-        feats = np.zeros((n, self.store.d_e))
         if k:
             ids[n - k :] = self._partners[picked]
             times[n - k :] = self._times[picked]
             eids[n - k :] = self._eids[picked]
-            feats[n - k :] = self.store.edge_features[self._eids[picked]]
             if times[n - k :].max() >= query_time:
                 raise LeakageError(
                     f"sampled interaction at t={times[n - k:].max()} for query_time={query_time}"
@@ -126,7 +122,6 @@ class NeighborSampler:
             query_time=float(query_time),
             ids=ids,
             times=times,
-            edge_feats=feats,
             event_ids=eids,
         )
 
@@ -172,6 +167,10 @@ class NegativeSampler:
     inductive   - the historical pool restricted to (src, tgt) pairs whose
                   first occurrence lies outside the training range; same
                   fallback.
+
+    Each positive takes one bounded draw, in batch order, into its pool
+    sorted by id or into the universe: one ``rng.integers`` call per batch,
+    none if it raises. Pools are read from a :class:`NeighborSampler` index.
     """
 
     def __init__(
@@ -180,71 +179,70 @@ class NegativeSampler:
         strategy: NegativeSamplingStrategy,
         train_range: tuple[int, int] | None = None,
     ):
-        self.store = store
         self.strategy = strategy
         self.universe = np.unique(store.tgt)
         if self.universe.size == 0:
             raise SamplingError("target universe is empty")
         self.rng = np.random.default_rng(strategy.seed)
         self.fallback_count = 0
-
-        if strategy.kind in ("historical", "inductive"):
-            if train_range is None:
-                raise ValueError(f"{strategy.kind} sampling needs the train range")
-            order = np.lexsort((np.arange(store.num_events), store.timestamps, store.src))
-            self._hist_src = store.src[order]
-            self._hist_tgt = store.tgt[order]
-            self._hist_ts = store.timestamps[order]
-            uniq, starts = np.unique(self._hist_src, return_index=True)
-            self._src_slice = {
-                int(s): (int(a), int(b))
-                for s, a, b in zip(uniq, starts, list(starts[1:]) + [len(order)])
-            }
+        if strategy.kind == "random":
+            return
+        if train_range is None:
+            raise ValueError(f"{strategy.kind} sampling needs the train range")
+        index = NeighborSampler(store)
+        entries = np.flatnonzero(index._from_src)
+        # lexsort is stable, so each (source, target) run starts at the pair's first entry
+        by_pair = entries[np.lexsort((index._partners[entries], index._nodes[entries]))]
+        nodes, partners = index._nodes[by_pair], index._partners[by_pair]
+        first = np.ones(len(by_pair), dtype=bool)
+        first[1:] = (nodes[1:] != nodes[:-1]) | (partners[1:] != partners[:-1])
+        entries = np.sort(by_pair[first])
         if strategy.kind == "inductive":
+            # events are in time order, so a pair's first entry is its first event
             lo, hi = train_range
-            _, first = np.unique(np.stack([store.src, store.tgt], axis=1), axis=0, return_index=True)
-            first = first[(first < lo) | (first >= hi)]
-            self._new_pairs = set(zip(store.src[first].tolist(), store.tgt[first].tolist()))
+            eids = index._eids[entries]
+            entries = entries[(eids < lo) | (eids >= hi)]
+        self._nodes = index._nodes[entries]
+        self._key = np.empty(len(entries), dtype=[("node", np.int64), ("time", np.float64)])
+        self._key["node"], self._key["time"] = self._nodes, index._times[entries]
+        self._ranks = self.universe.searchsorted(index._partners[entries])  # every partner here is a target
 
-    def _random_target(self, exclude: int) -> int:
-        u = self.universe
-        if u.size == 1 and u[0] == exclude:
-            raise SamplingError("target universe contains only the positive target")
-        pos = np.searchsorted(u, exclude)
-        hit = pos < u.size and u[pos] == exclude
-        r = int(self.rng.integers(u.size - 1 if hit else u.size))
-        if hit and r >= pos:
-            r += 1
-        return int(u[r])
-
-    def _pool(self, src: int, t: float, exclude: int) -> np.ndarray:
-        sl = self._src_slice.get(int(src))
-        if sl is None:
-            return np.array([], dtype=np.int64)
-        a, b = sl
-        cut = a + np.searchsorted(self._hist_ts[a:b], t, side="left")
-        partners = np.unique(self._hist_tgt[a:cut])
-        partners = partners[partners != exclude]
-        if self.strategy.kind == "inductive":
-            keep = [p for p in partners if (int(src), int(p)) in self._new_pairs]
-            partners = np.asarray(keep, dtype=np.int64)
-        return partners
+    def _pools(self, src, t, exclude) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every positive's pool as ranks in the universe, its ``exclude``
+        rank left out: one flat array with each pool sorted, plus
+        per-positive starts and sizes."""
+        lo = self._nodes.searchsorted(src)
+        q = np.empty(len(src), dtype=self._key.dtype)
+        q["node"], q["time"] = src, t
+        lens = self._key.searchsorted(q) - lo
+        owner = np.repeat(np.arange(len(src)), lens)
+        ranks = self._ranks[np.arange(lens.sum()) + np.repeat(lo - (np.cumsum(lens) - lens), lens)]
+        keep = ranks != exclude[owner]
+        owner, ranks = owner[keep], ranks[keep]
+        sizes = np.bincount(owner, minlength=len(src))
+        u = self.universe.size
+        return np.sort(owner * u + ranks) % u, np.cumsum(sizes) - sizes, sizes
 
     def sample(self, positives) -> tuple[np.ndarray, np.ndarray]:
         """Return (neg_tgt, fallback_flag) arrays, one entry per positive."""
-        neg = np.empty(len(positives), dtype=np.int64)
-        fell_back = np.zeros(len(positives), dtype=bool)
-        for i, (src, tgt, t) in enumerate(positives):
-            src, tgt, t = int(src), int(tgt), float(t)
-            if self.strategy.kind == "random":
-                neg[i] = self._random_target(tgt)
-                continue
-            pool = self._pool(src, t, tgt)
-            if pool.size:
-                neg[i] = int(pool[self.rng.integers(pool.size)])
-            else:
-                neg[i] = self._random_target(tgt)
-                fell_back[i] = True
-                self.fallback_count += 1
-        return neg, fell_back
-
+        cols = tuple(zip(*positives)) or ((), (), ())
+        src = np.array(cols[0], dtype=np.int64)
+        tgt = np.array(cols[1], dtype=np.int64)
+        t = np.array(cols[2], dtype=np.float64)
+        u = self.universe
+        at = u.searchsorted(tgt)
+        hit = u[np.minimum(at, u.size - 1)] == tgt
+        if self.strategy.kind == "random":
+            pool = starts = sizes = np.zeros(len(tgt), dtype=np.int64)
+        else:
+            pool, starts, sizes = self._pools(src, t, np.where(hit, at, -1))
+        rand = sizes == 0
+        highs = np.where(rand, u.size - hit, sizes)
+        if np.any(highs == 0):
+            raise SamplingError("target universe contains only the positive target")
+        r = self.rng.integers(highs)
+        rank = r + (hit & (r >= at))
+        rank[~rand] = pool[starts[~rand] + r[~rand]]
+        fell_back = rand & (self.strategy.kind != "random")
+        self.fallback_count += int(np.count_nonzero(fell_back))
+        return u[rank], fell_back

@@ -12,6 +12,8 @@ import tidegraph.harness
 from tidegraph.cli import main
 from tidegraph.config import RunConfig, config_hash, fit_time_encoder, load_config
 from tidegraph.errors import ConfigError
+from tidegraph.events import ingest_events
+from tidegraph.harness import ABLATION_VARIANTS, variant_config
 from tidegraph.synth import generate_cycle_corpus
 
 
@@ -251,3 +253,36 @@ def test_trace_writes_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "node", "frequency", "mean_mass", "appearances"]
     assert len(rows) > 1
+
+
+def test_ablate_trains_each_distinct_cell_once(tmp_path, monkeypatch):
+    # on the sl and ml layouts, -bie, -ste and fine-only configure the same
+    # model as full: 15 cells, 9 distinct configs
+    data, cfg = _small_run(tmp_path)
+    train = tidegraph.harness.train
+    trained = []
+    monkeypatch.setattr(tidegraph.harness, "train", lambda store, run_cfg: trained.append(run_cfg) or train(store, run_cfg))
+    out = tmp_path / "out"
+    assert main(["ablate", "--data", data, "--config", cfg, "--epochs", "1", "--out", str(out)]) == 0
+    with open(out / "ablation.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15 and len(trained) == 9
+    assert len({config_hash(c) for c in trained}) == 9
+    # every row is what training its cell on its own gives
+    store, run_cfg = ingest_events(data), load_config(cfg)
+    cells = [(layout, variant) for layout in ("sl", "ml", "il") for variant in ABLATION_VARIANTS]
+    for row, (layout, variant) in zip(rows, cells):
+        model = variant_config(run_cfg.model, layout, variant)
+        test = train(store, replace(run_cfg, model=model, train=replace(run_cfg.train, epochs=1))).report["test"]
+        assert (row["layout"], row["variant"]) == (layout, variant)
+        assert row["token_width"] == str(model.token_width(store.d_n, store.d_e))
+        assert (row["test_ap"], row["test_auc"]) == (repr(test["ap"]), repr(test["auc"]))
+
+
+def test_ablate_rejects_a_bad_ste_window_before_training(tmp_path, capsys, monkeypatch):
+    # the sl base config never uses STE; its il cells would, with an even window
+    data, cfg = _small_run(tmp_path, model="  layout: sl\n  ste_window: 2\n")
+    monkeypatch.setattr(tidegraph.harness, "train", lambda *a, **k: pytest.fail("training started"))
+    capsys.readouterr()
+    assert main(["ablate", "--data", data, "--config", cfg, "--epochs", "1"]) == 2
+    assert "ste_window must be an odd integer in [1, n_neighbors=4], got 2" in _error_line(capsys)

@@ -45,7 +45,6 @@ def make_seq(anchor, ids, n=None, query_time=100.0):
         query_time=query_time,
         ids=full,
         times=times,
-        edge_feats=np.zeros((n, 0)),
         event_ids=np.where(full == PAD_ID, -1, np.arange(n)),
     )
 
@@ -415,7 +414,7 @@ def ste_signal(seq, num_nodes):
     With a window of one the moving average is the signal itself, so the
     trend block is the signal and the seasonal block is zero.
     """
-    store = EventStore([0], [1], [1.0], num_nodes=num_nodes)
+    store = EventStore(np.zeros(seq.n), np.ones(seq.n), np.arange(1.0, seq.n + 1), num_nodes=num_nodes)
     cfg = ModelConfig(n_neighbors=seq.n, time_mode="none", use_bie=False, ste_window=1)
     batch = featurize_pairs([(seq, seq)], BatchNeighborIndex({}, {}), store, cfg)
     np.testing.assert_array_equal(batch.season, np.zeros_like(batch.season))

@@ -80,6 +80,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(layout="both")
 
+    @pytest.mark.parametrize("window", [0, 2, 5, -1])
+    def test_ste_window_checked_when_ste_is_on(self, window):
+        # n_neighbors is 4: the window must be odd and at most 4
+        with pytest.raises(ConfigError, match="ste_window"):
+            small_cfg(ste_window=window)
+        with pytest.raises(ConfigError, match="ste_window"):
+            dataclasses.replace(small_cfg(layout="sl"), layout="il", ste_window=window)
+        # a window that STE never uses is not checked
+        for changes in ({"use_ste": False}, {"layout": "sl"}, {"layout": "ml"}):
+            assert small_cfg(ste_window=window, **changes).ste_window == window
+        assert small_cfg(ste_window=3).ste_window == 3
+
 
 class TestForward:
     def test_probabilities_in_range_all_layouts(self):

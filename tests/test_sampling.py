@@ -1,10 +1,12 @@
 """Neighbor windows, batch dictionaries, and negative sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tidegraph import harness
-from tidegraph.errors import LeakageError, MetricError
+from tidegraph.errors import LeakageError, MetricError, SamplingError
 from tidegraph.events import EventStore, SplitRanges, inductive_mask
 from tidegraph.harness import sample_pair_windows
 from tidegraph.model import ModelConfig
@@ -26,7 +28,7 @@ def _window(store, anchor, query_time, n, strategy="recent", rng=None):
 
 
 def _batch_index(store, pairs, n):
-    _, index = sample_pair_windows(NeighborSampler(store), pairs, ModelConfig(n_neighbors=n))
+    _, index = sample_pair_windows(NeighborSampler(store), pairs, ModelConfig(n_neighbors=n, use_ste=False))
     return index
 
 
@@ -56,7 +58,7 @@ class TestNeighborWindows:
         np.testing.assert_array_equal(seq.ids, [PAD_ID, PAD_ID, 5, 6])
         np.testing.assert_array_equal(seq.times, [10.0, 10.0, 1.0, 2.0])
         np.testing.assert_array_equal(seq.mask, [False, False, True, True])
-        assert np.all(seq.edge_feats[:2] == 0)
+        np.testing.assert_array_equal(seq.event_ids, [-1, -1, 0, 1])
 
     def test_no_history_all_pad(self):
         store = _store_from_rows([(0, 5, 1.0)])
@@ -121,7 +123,7 @@ class TestNeighborWindows:
         store = _store_from_rows([(0, 5, 1.0), (0, 6, 2.0)])
         sampler = NeighborSampler(store)
         # break the sort order so the binary search admits a future event
-        sampler._times[sampler._ptr[0] : sampler._ptr[1]] = [50.0, 5.0]
+        sampler._times[sampler._nodes == 0] = [50.0, 5.0]
         with pytest.raises(LeakageError):
             sampler.sample(0, 10.0, 2)
 
@@ -177,16 +179,14 @@ class TestNegativeSampling:
         train_range = (0, 20)  # whole toy stream is the training range
         strat = NegativeSamplingStrategy("historical", seed=3)
         sampler = NegativeSampler(store, strat, train_range)
-        query_t = t + 10.0
-        for src in range(4):
-            for pos_tgt in range(10, 15):
-                pool = sampler._pool(src, query_t, pos_tgt)
-                brute = {
-                    int(tg)
-                    for s, tg, _ in rows
-                    if s == src and tg != pos_tgt
-                }
-                assert set(int(v) for v in pool) == brute
+        queries = [(src, pos_tgt) for src in range(4) for pos_tgt in range(10, 15)]
+        src, pos_tgt = np.array(queries).T
+        u = sampler.universe
+        exclude = np.where(np.isin(pos_tgt, u), u.searchsorted(pos_tgt), -1)
+        pools, starts, sizes = sampler._pools(src, np.full(len(queries), t + 10.0), exclude)
+        for (s0, tg0), a, k in zip(queries, starts, sizes):
+            brute = sorted({int(tg) for s, tg, _ in rows if s == s0 and tg != tg0})
+            assert u[pools[a : a + k]].tolist() == brute
 
     def test_historical_draws_come_from_pool(self):
         rows = [(0, 10, 1.0), (0, 11, 2.0), (0, 12, 3.0), (1, 13, 4.0)]
@@ -247,6 +247,14 @@ class TestInductiveArrays:
     """The inductive pools, built with array operations, against the loop
     forms they replace."""
 
+    @staticmethod
+    def _inductive_entries(sampler):
+        """The inductive pool's entries as ``{(src, tgt): first time}``; each pair once."""
+        pairs = list(zip(sampler._key["node"].tolist(), sampler.universe[sampler._ranks].tolist()))
+        assert len(pairs) == len(set(pairs))
+        assert all(type(s) is int and type(t) is int for s, t in pairs)
+        return dict(zip(pairs, sampler._key["time"].tolist()))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_new_pairs_match_first_seen_loop(self, seed):
         rng = np.random.default_rng(seed)
@@ -255,10 +263,9 @@ class TestInductiveArrays:
             first_seen = {}
             for i in range(store.num_events):
                 first_seen.setdefault((int(store.src[i]), int(store.tgt[i])), i)
-            want = {k for k, i in first_seen.items() if i < lo or i >= hi}
-            got = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (lo, hi))._new_pairs
-            assert got == want
-            assert all(type(s) is int and type(t) is int for s, t in got)
+            want = {k: float(store.timestamps[i]) for k, i in first_seen.items() if i < lo or i >= hi}
+            sampler = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (lo, hi))
+            assert self._inductive_entries(sampler) == want
 
     def test_new_pairs_with_ids_past_32_bits(self):
         # keyed as src * (max_tgt + 1) + tgt in int64, these two pairs would
@@ -266,8 +273,10 @@ class TestInductiveArrays:
         big = 2**32
         store = EventStore(np.array([0, big, 5]), np.array([big - 1, big - 1, 7]),
                            np.arange(3, dtype=np.float64), np.zeros((3, 1)))
-        got = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (2, 3))._new_pairs
-        assert got == {(0, big - 1), (big, big - 1)}
+        sampler = NegativeSampler(store, NegativeSamplingStrategy("inductive"), (2, 3))
+        assert self._inductive_entries(sampler) == {(0, big - 1): 0.0, (big, big - 1): 1.0}
+        neg, fell = sampler.sample([(big, 3, 5.0), (0, big - 1, 5.0)])
+        assert neg.tolist() == [big - 1, 7] and fell.tolist() == [False, True]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_touched_positives_match_loop(self, seed, monkeypatch):
@@ -301,3 +310,147 @@ class TestInductiveArrays:
                 harness.evaluate_link_prediction(
                     None, ModelConfig(), store, None, ev_range, splits=split, setting="inductive",
                 )
+
+
+class LoopNegativeSampler:
+    """The per-positive reference: each positive's pool built on its own,
+    then one draw for it, in batch order."""
+
+    def __init__(self, store, strategy, train_range=(0, 0)):
+        self.strategy = strategy
+        self.universe = np.unique(store.tgt)
+        self.rng = np.random.default_rng(strategy.seed)
+        self.fallback_count = 0
+        order = np.lexsort((np.arange(store.num_events), store.timestamps, store.src))
+        self.src, self.tgt, self.ts = store.src[order], store.tgt[order], store.timestamps[order]
+        first_seen = {}
+        for i in range(store.num_events):
+            first_seen.setdefault((int(store.src[i]), int(store.tgt[i])), i)
+        lo, hi = train_range
+        self.new_pairs = {k for k, i in first_seen.items() if i < lo or i >= hi}
+
+    def _random_target(self, exclude):
+        u = self.universe
+        if u.size == 1 and u[0] == exclude:
+            raise SamplingError("target universe contains only the positive target")
+        pos = np.searchsorted(u, exclude)
+        hit = pos < u.size and u[pos] == exclude
+        r = int(self.rng.integers(u.size - 1 if hit else u.size))
+        if hit and r >= pos:
+            r += 1
+        return int(u[r])
+
+    def _pool(self, src, t, exclude):
+        partners = np.unique(self.tgt[(self.src == src) & (self.ts < t)])
+        partners = partners[partners != exclude]
+        if self.strategy.kind == "inductive":
+            partners = np.array([p for p in partners if (src, int(p)) in self.new_pairs], dtype=np.int64)
+        return partners
+
+    def sample(self, positives):
+        neg = np.empty(len(positives), dtype=np.int64)
+        fell_back = np.zeros(len(positives), dtype=bool)
+        for i, (src, tgt, t) in enumerate(positives):
+            src, tgt, t = int(src), int(tgt), float(t)
+            if self.strategy.kind == "random":
+                neg[i] = self._random_target(tgt)
+                continue
+            pool = self._pool(src, t, tgt)
+            if pool.size:
+                neg[i] = int(pool[self.rng.integers(pool.size)])
+            else:
+                neg[i] = self._random_target(tgt)
+                fell_back[i] = True
+                self.fallback_count += 1
+        return neg, fell_back
+
+
+class TestNegativesAgainstLoop:
+    """Batch draws against :class:`LoopNegativeSampler`: negatives, fallback
+    flags and counts, and the generator state after every batch, bitwise."""
+
+    @staticmethod
+    def _store(rng, bipartite):
+        e = int(rng.integers(1, 300))
+        if bipartite:
+            src, tgt = rng.integers(0, 8, e), rng.integers(8, 30, e)
+        else:
+            src, tgt = rng.integers(0, 20, e), rng.integers(0, 20, e)
+        # integer times, so that events tie and queries land on event times
+        ts = np.sort(rng.integers(0, 60, e)).astype(np.float64)
+        return EventStore(src, tgt, ts, bipartite=bipartite)
+
+    @staticmethod
+    def _positives(rng, store, m):
+        out = []
+        for i in rng.integers(0, store.num_events, m):
+            src = int(store.src[i]) if rng.random() < 0.9 else int(rng.integers(0, 40))  # some never seen
+            tgt = int(store.tgt[i]) if rng.random() < 0.9 else int(rng.integers(0, 40))  # often outside the universe
+            out.append((src, tgt, max(0.0, float(store.timestamps[i] + rng.integers(-2, 3)))))
+        return out
+
+    def _assert_same(self, store, kind, seed, train_range, batches):
+        got = NegativeSampler(store, NegativeSamplingStrategy(kind, seed=seed), train_range)
+        want = LoopNegativeSampler(store, NegativeSamplingStrategy(kind, seed=seed), train_range)
+        for positives in batches:
+            g_neg, g_fell = got.sample(positives)
+            w_neg, w_fell = want.sample(positives)
+            assert g_neg.dtype == w_neg.dtype and g_fell.dtype == w_fell.dtype
+            np.testing.assert_array_equal(g_neg, w_neg)
+            np.testing.assert_array_equal(g_fell, w_fell)
+            assert got.fallback_count == want.fallback_count
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("kind", ["random", "historical", "inductive"])
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_randomized(self, kind, bipartite):
+        fallbacks = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            store = self._store(rng, bipartite)
+            lo, hi = np.sort(rng.integers(0, store.num_events + 1, 2))
+            batches = [self._positives(rng, store, int(rng.integers(0, 50))) for _ in range(4)]
+            fallbacks += self._assert_same(store, kind, seed, (int(lo), int(hi)), batches).fallback_count
+        if kind != "random":
+            assert fallbacks > 0, "the cases should include fallbacks"
+
+    def test_empty_batch_draws_nothing(self):
+        store = _store_from_rows([(0, 10, 1.0), (0, 11, 2.0)])
+        for kind in ("random", "historical", "inductive"):
+            sampler = self._assert_same(store, kind, 3, (0, 1), [[], [(0, 12, 5.0)], []])
+            neg, fell = sampler.sample([])
+            assert neg.shape == fell.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["random", "historical", "inductive"])
+    def test_single_target_universe(self, kind):
+        store = _store_from_rows([(0, 10, 1.0), (1, 10, 2.0)])
+        # a target outside the universe draws the one target, from a bound of 1
+        self._assert_same(store, kind, 0, (0, 1), [[(0, 11, 3.0), (2, 11, 3.0)]])
+        sampler = NegativeSampler(store, NegativeSamplingStrategy(kind, seed=0), (0, 1))
+        state = sampler.rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            sampler.sample([(0, 11, 3.0), (0, 10, 3.0)])
+        with pytest.raises(SamplingError):
+            LoopNegativeSampler(store, NegativeSamplingStrategy(kind, seed=0), (0, 1)).sample([(0, 10, 3.0)])
+        # a batch that raises draws nothing
+        assert sampler.rng.bit_generator.state == state and sampler.fallback_count == 0
+
+
+def test_sampling_memory_independent_of_id_range():
+    """Windows and negatives over ids near 10**7 allocate no table indexed by id."""
+    base = 10**7
+    store = EventStore(np.array([base, base + 1, base]), np.array([base + 5, base + 5, base + 6]),
+                       np.array([1.0, 2.0, 3.0]), np.zeros((3, 2)))
+    tracemalloc.start()
+    try:
+        seq = NeighborSampler(store).sample(base + 5, 2.5, 4)
+        neg, fell = NegativeSampler(store, NegativeSamplingStrategy("historical"), (0, 3)).sample(
+            [(base, base + 6, 3.0), (base + 1, base + 5, 3.0)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    np.testing.assert_array_equal(seq.ids, [PAD_ID, PAD_ID, base, base + 1])
+    assert neg.tolist() == [base + 5, base + 6] and fell.tolist() == [False, True]

@@ -29,22 +29,23 @@ from tidegraph.sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
 NO_INDEX = BatchNeighborIndex(src_index={}, tgt_index={})
 
 
-def _seq(ids, d_e=4, query_time=100.0, anchor=0):
+def _seq(ids, query_time=100.0, anchor=0):
+    """A window whose k-th real slot holds event k, whose features in
+    :func:`_store` are ``arange(k * d_e, (k + 1) * d_e)``."""
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     real = ids != PAD_ID
     times = np.where(real, np.linspace(1, 20, n), query_time)
-    feats = np.zeros((n, d_e))
-    if d_e:
-        feats[real] = np.arange(real.sum() * d_e).reshape(-1, d_e)
     return NeighborSequence(
         anchor=anchor, query_time=query_time, ids=ids, times=times,
-        edge_feats=feats, event_ids=np.where(real, np.arange(n), -1),
+        event_ids=np.where(real, np.cumsum(real) - 1, -1),
     )
 
 
 def _store(d_e, num_nodes=10, node_features=None):
-    return EventStore([0], [9], [1.0], np.zeros((1, d_e)), num_nodes=num_nodes, node_features=node_features)
+    feats = np.arange(8.0 * d_e).reshape(8, d_e)
+    return EventStore(np.zeros(8), np.full(8, 9), np.arange(1.0, 9.0), feats,
+                      num_nodes=num_nodes, node_features=node_features)
 
 
 def _cfg(**kw):
@@ -135,7 +136,7 @@ class TestInteractionTokens:
 class TestSingleNodeTokens:
     def test_shape(self):
         cfg = _cfg(layout="sl", mte=MteConfig(d_t=100))
-        seq = _seq([5, 6, 7, 8], d_e=4)
+        seq = _seq([5, 6, 7, 8])
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(4), cfg)
         tokens, _ = _tokens(cfg, batch, d=4)
         assert tokens.shape == (8, 104)
@@ -145,7 +146,7 @@ class TestSingleNodeTokens:
         # PAD slots encode as a zero feature block plus the cosine of zero
         # offsets, [0...0, 1...1], and get no token row
         cfg = _cfg(layout="sl", mte=MteConfig(d_t=5))
-        seq = _seq([PAD_ID, PAD_ID], d_e=3)
+        seq = _seq([PAD_ID, PAD_ID])
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(3), cfg)
         tokens, _ = _tokens(cfg, batch, d=3)
         row = np.hstack([np.zeros((2, 3)), np.ones((2, 5))])
@@ -177,8 +178,8 @@ class TestMixedTokens:
 
     def test_block_order(self):
         # pair-major: pair 0's source and target rows, then pair 1's
-        pairs = [(_seq([5, 6, 7, 8], d_e=2), _seq([1, 2, 3, PAD_ID], d_e=2, anchor=9)),
-                 (_seq([PAD_ID, 4, 5, 6], d_e=2, anchor=1), _seq([7, 8, 9, 5], d_e=2, anchor=8))]
+        pairs = [(_seq([5, 6, 7, 8]), _seq([1, 2, 3, PAD_ID], anchor=9)),
+                 (_seq([PAD_ID, 4, 5, 6], anchor=1), _seq([7, 8, 9, 5], anchor=8))]
         batch, rows, mask = self._forward(pairs)
         assert rows.shape[0] == 4 + 3 + 3 + 4
         np.testing.assert_array_equal(rows[:4], self._window(batch, 0))
@@ -189,7 +190,7 @@ class TestMixedTokens:
         np.testing.assert_array_equal(mask[1], np.concatenate([batch.mask[1], batch.mask[3]]))
 
     def test_identical_halves(self):
-        seq = _seq([5, 6, 7, 8], d_e=2)
+        seq = _seq([5, 6, 7, 8])
         _, rows, _ = self._forward([(seq, seq)])
         np.testing.assert_array_equal(rows[:4], rows[4:])
 
@@ -210,7 +211,7 @@ class TestMixedTokens:
 
 class TestLayoutAgreement:
     def test_raw_feature_block_is_layout_invariant(self):
-        pairs = [(_seq([PAD_ID, 5, 6, 7], d_e=3), _seq([1, 2, PAD_ID, 3], d_e=3, anchor=9))]
+        pairs = [(_seq([PAD_ID, 5, 6, 7]), _seq([1, 2, PAD_ID, 3], anchor=9))]
         store = _store(3)
         sl_cfg, il_cfg = _cfg(layout="sl"), _cfg(layout="il")
         sl = featurize_pairs(pairs, NO_INDEX, store, sl_cfg)
@@ -223,18 +224,18 @@ class TestLayoutAgreement:
     def test_il_width_concat_mode(self):
         cfg = _cfg(mte=MteConfig(d_t=10, combine="concat"), d_b=5, d_s=3, d_tr=3)
         assert cfg.token_width(0, 4) == 4 + 20 + 5 + 3 + 3
-        seq = _seq([5, 6, 7, 8], d_e=4)
+        seq = _seq([5, 6, 7, 8])
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(4), cfg)
         tokens, _ = _tokens(cfg, batch, d=4)
         assert tokens.shape[-1] == 4 + 20 + 5 + 3 + 3
 
     def test_node_features_gathered_for_real_slots(self):
         node_feats = np.arange(20.0).reshape(10, 2)
-        seq = _seq([PAD_ID, 5, 6, 7], d_e=1)
+        seq = _seq([PAD_ID, 5, 6, 7])
         batch = featurize_pairs([(seq, seq)], NO_INDEX, _store(1, node_features=node_feats), _cfg())
         block = batch.h[0]
         assert block.shape == (4, 3)
         np.testing.assert_array_equal(block[0, :2], [0.0, 0.0])
         np.testing.assert_array_equal(block[1, :2], node_feats[5])
         np.testing.assert_array_equal(block[3, :2], node_feats[7])
-        np.testing.assert_array_equal(block[:, 2], seq.edge_feats[:, 0])
+        np.testing.assert_array_equal(block[:, 2], [0.0, 0.0, 1.0, 2.0])

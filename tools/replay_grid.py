@@ -1,12 +1,12 @@
 """Fixed-seed replay grid: check that a change leaves training output bitwise equal, or within a tolerance.
 
-``run OUT`` trains 12 models and writes each run's artifacts (``run.jsonl``,
+``run OUT`` trains 18 models and writes each run's artifacts (``run.jsonl``,
 ``metrics.csv``, ``traces.csv``, ``checkpoint.npz``) to ``OUT/<corpus>-<layout>-<nss>/``.
 The grid is two corpora, ``generate_cycle_corpus(num_sources=20,
 num_targets=60, num_events=1500, d_e=4)`` and
 ``generate_hotnode_corpus(num_events=1500)``, crossed with layouts il, sl and
-ml and with random and historical negatives. Every run uses 3 epochs,
-dropout 0.1, hidden 32, n_neighbors 10, lr 1e-3, batch 100, seed 7, the
+ml and with random, historical and inductive negatives. Every run uses 3
+epochs, dropout 0.1, hidden 32, n_neighbors 10, lr 1e-3, batch 100, seed 7, the
 time-encoder alpha solved from the corpus duration, and an attention trace at
 epochs 0 and -1 with threshold 30. ``--dropout RATE`` sets another dropout
 rate for every run. A grid at rate 0 draws no dropout mask, so it checks a
@@ -60,7 +60,7 @@ import numpy as np  # noqa: E402
 
 CORPORA = ("cycle", "hotnode")
 LAYOUTS = ("il", "sl", "ml")
-NEGATIVES = ("random", "historical")
+NEGATIVES = ("random", "historical", "inductive")
 TEXT_ARTIFACTS = ("run.jsonl", "metrics.csv", "traces.csv")
 # fields compared within the tolerance, by the kind reported: losses relative
 # (REL), AP/AUC and trace masses absolute (ABS)
