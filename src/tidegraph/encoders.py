@@ -126,15 +126,22 @@ class MteConfig:
 
 
 def encode_fine_time(delta_t, cfg: MteConfig) -> np.ndarray:
-    """Cosine expansion of fine relative offsets; shape ``(..., d_t)``.
+    """Cosine expansion of fine relative offsets; float32, shape ``(..., d_t)``.
 
     Component j equals ``cos(alpha**(-(j-1)/beta) * delta_t)``; an offset of
-    zero therefore maps to the all-ones vector.
+    zero therefore maps to the all-ones vector. The argument is formed and
+    reduced by 2π in float64, where a float32 ulp of an offset of years
+    would be seconds; the reduced argument lies in [-π, π], so its float32
+    cosine is within 2**-21 of the float64 one. ``featurize_pairs`` calls
+    this once per batch on the batch's distinct offsets.
     """
     delta = np.asarray(delta_t, dtype=np.float64)
     if np.any(delta < 0):
         raise LeakageError("negative fine offset: history must precede the query time")
-    return np.cos(delta[..., None] * cfg.omega)
+    x = delta[..., None] * cfg.omega
+    x -= np.rint(x / (2 * np.pi)) * (2 * np.pi)
+    out = x.astype(np.float32)
+    return np.cos(out, out=out)
 
 
 def encode_coarse_time(delta_t, cfg: MteConfig):

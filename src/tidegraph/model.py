@@ -8,11 +8,14 @@ hand-derived and accumulate into gradient buffers shaped like the parameters,
 so the whole pipeline can be verified by central finite differences.
 
 The transformer computes in the parameters' dtype (:data:`COMPUTE_DTYPE`,
-float32): parameters, activations, caches and gradients. The
-encoders stay in float64, because the time encoding takes cos(omega * dt) of
-spans up to years, where a float32 ulp is seconds; :func:`_assemble_tokens`
-casts their output once. Logits are lifted back to float64 for the sigmoid
-and the loss, and :func:`grad_check` checks a float64 copy of the parameters.
+float32): parameters, activations, caches and gradients. The time encoders
+take float64 arguments: the offset dt, omega * dt and its reduction by 2π,
+because over spans of years a float32 ulp of dt is seconds. The cosine of the
+reduced argument is float32, and so is the time block of a
+:class:`PairBatch`. The other encoder blocks are float64, and
+:func:`_assemble_tokens` casts them once. Logits are lifted back to float64
+for the sigmoid and the loss, and :func:`grad_check` checks a float64 copy of
+the parameters; the float32 time columns it reads are exact in float64.
 
 Every large array of a step (the token matrix, activations, forward caches
 and backward temporaries) lives in the parameters' :class:`~.attention.Workspace`
@@ -253,7 +256,8 @@ class PairBatch:
     """
 
     h: np.ndarray  # (2P, n, d_n+d_e)
-    tmix: np.ndarray | None  # (2P, n, time_dim)
+    # (2P, n, time_dim) float32: a table of the batch's distinct offsets, gathered
+    tmix: np.ndarray | None
     counts: np.ndarray | None  # (2P, n, 2)
     season: np.ndarray | None  # (2P, n, 1)
     trend: np.ndarray | None  # (2P, n, 1)
@@ -280,7 +284,8 @@ def featurize_pairs(
     * ``il`` - one window per node, tokens ``[features || mixed-time ||
       interaction-counts embedding || season embedding || trend embedding]``.
 
-    Every block is built for all 2P windows at once; the per-pair
+    Every block is built for all 2P windows at once, the time block as one
+    float32 row per distinct offset gathered onto the grid; the per-pair
     interaction counts are the one exception.
     """
     p = len(seq_pairs)
@@ -299,13 +304,13 @@ def featurize_pairs(
 
     tmix = None
     if cfg.time_mode != "none":
-        delta = qtimes - times
-        fine = encode_fine_time(delta, cfg.mte)
+        # offsets repeat: every PAD slot reads 0, a negative reuses its positive's source window
+        offsets, at = np.unique(qtimes - times, return_inverse=True)
+        table = encode_fine_time(offsets, cfg.mte)
         if cfg.layout == "il" and cfg.time_mode == "mix":
-            _, coarse = encode_coarse_time(delta, cfg.mte)
-            tmix = mix_temporal(fine, coarse, cfg.mte.combine)
-        else:
-            tmix = fine
+            _, coarse = encode_coarse_time(offsets, cfg.mte)
+            table = mix_temporal(table, coarse, cfg.mte.combine)
+        tmix = table.astype(np.float32, copy=False)[at.reshape(times.shape)]
 
     counts = None
     if cfg.bie_active:
@@ -330,8 +335,8 @@ def featurize_pairs(
 
 def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
     """Token rows (R, width) in the compute dtype, in the workspace: one row
-    per valid slot, in :func:`to_sequences` order. The float64 encoder
-    blocks are gathered and cast straight into their columns; the count lift
+    per valid slot, in :func:`to_sequences` order. The encoder blocks are
+    gathered and cast straight into their columns; the count lift
     and the season and trend embeddings run on the gathered rows, whose cast
     inputs are what the backward pass reads."""
     ws = params.workspace

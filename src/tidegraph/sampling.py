@@ -170,7 +170,8 @@ class NegativeSampler:
 
     Each positive takes one bounded draw, in batch order, into its pool
     sorted by id or into the universe: one ``rng.integers`` call per batch,
-    none if it raises. Pools are read from a :class:`NeighborSampler` index.
+    none if it raises. Pools are read from a :class:`NeighborSampler` index:
+    ``index`` if given, which must be built over ``store``, else a new one.
     """
 
     def __init__(
@@ -178,6 +179,7 @@ class NegativeSampler:
         store: EventStore,
         strategy: NegativeSamplingStrategy,
         train_range: tuple[int, int] | None = None,
+        index: NeighborSampler | None = None,
     ):
         self.strategy = strategy
         self.universe = np.unique(store.tgt)
@@ -189,7 +191,8 @@ class NegativeSampler:
             return
         if train_range is None:
             raise ValueError(f"{strategy.kind} sampling needs the train range")
-        index = NeighborSampler(store)
+        if index is None:
+            index = NeighborSampler(store)
         entries = np.flatnonzero(index._from_src)
         # lexsort is stable, so each (source, target) run starts at the pair's first entry
         by_pair = entries[np.lexsort((index._partners[entries], index._nodes[entries]))]

@@ -9,6 +9,7 @@ from tidegraph.attention import (
     bce_loss,
     ffn_forward,
     layer_norm_forward,
+    linear_forward,
     masked_softmax,
     multi_head_attention,
     multi_head_attention_backward,
@@ -304,6 +305,26 @@ class TestFfn:
         assert g.bit_generator.state == before
         assert cache[3] is None
         np.testing.assert_array_equal(out, ffn_forward(x, w1, b1, w2, b2)[0])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_column_input_is_bitwise_the_gemm(self, dtype):
+        # the season and trend embeddings: (R, 1) @ (1, d) as a broadcast product
+        for trial in range(50):
+            rng = np.random.default_rng(trial)
+            x = rng.normal(size=(int(rng.integers(0, 300)), 1)).astype(dtype)
+            w, b = rng.normal(size=(1, 50)).astype(dtype), rng.normal(size=50).astype(dtype)
+            want = np.matmul(x, w) + b
+            got, cache = linear_forward(x, w, b)
+            assert got.dtype == dtype and cache is x
+            np.testing.assert_array_equal(got, want)
+            out = np.full((len(x), 50), np.nan, dtype=dtype)
+            got, _ = linear_forward(x, w, b, out=out)
+            assert got is out
+            np.testing.assert_array_equal(out, want)
+        x3 = rng.normal(size=(3, 4, 1)).astype(dtype)  # leading axes
+        np.testing.assert_array_equal(linear_forward(x3, w, b)[0], np.matmul(x3, w) + b)
 
 
 class TestReadout:

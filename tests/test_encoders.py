@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tidegraph import harness
+from tidegraph import harness, model
 from tidegraph.attention import ffn_forward
 from tidegraph.encoders import (
     GRANULARITY_SECONDS,
@@ -30,6 +30,10 @@ from tidegraph.sampling import (
     NeighborSequence,
 )
 from tidegraph.synth import generate_cycle_corpus, generate_hotnode_corpus
+
+# A float32 cosine of an argument reduced to [-π, π] in float64: the cast of
+# the argument (half an ulp of π) plus the cosine's own rounding.
+COS_TOL = 2.0**-21
 
 
 def make_seq(anchor, ids, n=None, query_time=100.0):
@@ -56,14 +60,28 @@ class TestFineTime:
 
     def test_first_component_is_plain_cosine(self):
         cfg = MteConfig(d_t=6, alpha=3.0, beta=2.0)
-        for dt in (0.5, 2.0, 77.0):
-            assert encode_fine_time(dt, cfg)[0] == pytest.approx(math.cos(dt), abs=1e-15)
+        for dt in (0.5, 2.0, 77.0, 1e7):
+            got = encode_fine_time(dt, cfg)
+            assert got.dtype == np.float32
+            assert abs(float(got[0]) - math.cos(dt)) <= COS_TOL
 
     def test_matches_scalar_oracle(self):
         cfg = MteConfig(d_t=4, alpha=2.0, beta=2.0)
         got = encode_fine_time(100.0, cfg)
         expected = [math.cos(2.0 ** (-(j - 1) / 2.0) * 100.0) for j in (1, 2, 3, 4)]
-        np.testing.assert_allclose(got, expected, atol=1e-15)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - expected)) <= COS_TOL
+
+    def test_large_offsets_match_scalar_oracle(self):
+        # offsets up to 1e7 s, alpha just large enough for that span: the
+        # argument must be reduced by 2π before it is cast to float32
+        cfg = MteConfig(d_t=100)
+        cfg.alpha = cfg.smallest_alpha(1e7)
+        offsets = np.concatenate([[0.0, 1e7], np.random.default_rng(0).uniform(0, 1e7, 200)])
+        got = encode_fine_time(offsets, cfg)
+        expected = [[math.cos(w * dt) for w in cfg.omega.tolist()] for dt in offsets.tolist()]
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - expected)) <= COS_TOL
 
     def test_negative_offset_rejected(self):
         with pytest.raises(LeakageError):
@@ -149,6 +167,113 @@ class TestMix:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             mix_temporal(np.ones(3), np.ones(4), "sum")
+
+
+def _long_store(span=1e7, num_events=60, seed=0):
+    """Three sources with 20 events each over ``span`` seconds, so a full
+    window reaches back almost to t = 0; targets with fewer events pad."""
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.uniform(0.0, span, num_events))
+    ts[0], ts[-1] = 0.0, span
+    return EventStore(np.tile([0, 1, 2], num_events // 3), rng.integers(3, 12, num_events), ts)
+
+
+class TestTimeTable:
+    """``featurize_pairs`` encodes each distinct offset once and gathers the
+    float32 table onto the grid; every slot must still read its own offset's
+    float64 encoding, cos(ω·Δt) + ⌊Δt/divisor⌋/R, to the cosine's error
+    plus one float32 rounding of the sum."""
+
+    @staticmethod
+    def _cfg(layout="il", time_mode="mix", combine="sum", span=1e7):
+        mte = MteConfig(d_t=100, r_segments=4, combine=combine)
+        mte.alpha = mte.smallest_alpha(span)
+        return ModelConfig(n_neighbors=20, layout=layout, time_mode=time_mode, use_bie=False, use_ste=False, mte=mte)
+
+    @staticmethod
+    def _scored(store, cfg, positives, monkeypatch):
+        """The batch ``build_scoring_batch`` featurizes, with the windows' offsets
+        in batch row order (sources, then targets)."""
+        calls = []
+
+        def recording(seq_pairs, *args):
+            calls.append(seq_pairs)
+            return featurize_pairs(seq_pairs, *args)
+
+        monkeypatch.setattr(harness, "featurize_pairs", recording)
+        neg, _ = NegativeSampler(store, NegativeSamplingStrategy("random", seed=1)).sample(positives)
+        batch, _ = harness.build_scoring_batch(NeighborSampler(store), store, cfg, positives, neg)
+        (seq_pairs,) = calls
+        seqs = [sp[0] for sp in seq_pairs] + [sp[1] for sp in seq_pairs]
+        return batch, np.stack([s.query_time - s.times for s in seqs])
+
+    @staticmethod
+    def _reference(delta, cfg):
+        fine = np.cos(delta[..., None] * cfg.mte.omega)
+        if cfg.time_mode == "fine" or cfg.layout != "il":
+            return fine
+        coarse = np.broadcast_to((np.floor(delta / cfg.mte.divisor) / cfg.mte.r_segments)[..., None], fine.shape)
+        return fine + coarse if cfg.mte.combine == "sum" else np.concatenate([fine, coarse], axis=-1)
+
+    @pytest.mark.parametrize("layout, time_mode, combine",
+                             [("il", "mix", "sum"), ("il", "mix", "concat"), ("il", "fine", "sum"), ("ml", "fine", "sum")])
+    def test_every_slot_matches_float64_reference(self, layout, time_mode, combine, monkeypatch):
+        store = _long_store()
+        cfg = self._cfg(layout, time_mode, combine)
+        positives = harness._event_pairs(store, range(30, 60))
+        batch, delta = self._scored(store, cfg, positives, monkeypatch)
+        ref = self._reference(delta, cfg)
+        assert batch.tmix.dtype == np.float32 and batch.tmix.shape == ref.shape == (120, 20, cfg.time_dim)
+        err = np.abs(batch.tmix - ref)
+        assert np.all(err <= COS_TOL + 2.0**-24 * np.abs(ref))
+
+        assert delta.max() > 0.9e7, "offsets should reach the 1e7 s span"
+        pad = ~batch.mask
+        assert pad.any() and np.all(delta[pad] == 0.0)
+        np.testing.assert_array_equal(batch.tmix[pad], ref[pad])  # Δt = 0 encodes exactly
+        # each negative reuses its positive's source window, rows 30..59
+        p = len(positives)
+        np.testing.assert_array_equal(batch.tmix[p : 2 * p], batch.tmix[:p])
+        # an offset shared by different windows reads the same features everywhere
+        real = delta[batch.mask]
+        offsets, first, counts = np.unique(real, return_index=True, return_counts=True)
+        assert np.count_nonzero(counts > 1) > 0
+        rows = batch.tmix[batch.mask]
+        np.testing.assert_array_equal(rows, rows[first[np.searchsorted(offsets, real)]])
+
+    def test_slot_features_do_not_depend_on_batch(self, monkeypatch):
+        store = _long_store()
+        cfg = self._cfg()
+        positives = harness._event_pairs(store, range(30, 60))
+        batch, _ = self._scored(store, cfg, positives, monkeypatch)
+        p = len(positives)
+        for j in (0, 7, 29):
+            alone, _ = self._scored(store, cfg, positives[j : j + 1], monkeypatch)
+            for alone_row, batch_row in ((0, j), (2, 2 * p + j)):  # source and positive target windows
+                np.testing.assert_array_equal(alone.tmix[alone_row], batch.tmix[batch_row])
+
+    def test_encoder_sees_each_distinct_offset_once(self, monkeypatch):
+        store = _long_store()
+        cfg = self._cfg()
+        sizes = []
+
+        def recording(delta, mte):
+            sizes.append(np.shape(delta))
+            return encode_fine_time(delta, mte)
+
+        monkeypatch.setattr(model, "encode_fine_time", recording)
+        positives = harness._event_pairs(store, range(30, 60))
+        _, delta = self._scored(store, cfg, positives, monkeypatch)
+        assert sizes == [(np.unique(delta).size,)]
+        assert np.unique(delta).size < delta.size / 2  # PAD slots and shared windows collapse
+
+    def test_negative_offset_raises(self):
+        cfg = self._cfg(span=1e3)
+        good = make_seq(0, [5, 6], n=4)
+        late = make_seq(1, [7, 8], n=4)
+        late.times = late.times + 200.0  # both real events after the query time
+        with pytest.raises(LeakageError):
+            featurize_pairs([(good, late)], BatchNeighborIndex({}, {}), EventStore([0] * 4, [9] * 4, [0.0] * 4), cfg)
 
 
 def _worked_example():

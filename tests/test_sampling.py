@@ -9,7 +9,7 @@ from tidegraph import harness
 from tidegraph.errors import LeakageError, MetricError, SamplingError
 from tidegraph.events import EventStore, SplitRanges, inductive_mask
 from tidegraph.harness import sample_pair_windows
-from tidegraph.model import ModelConfig
+from tidegraph.model import ModelConfig, ModelParameters
 from tidegraph.sampling import (
     PAD_ID,
     NegativeSampler,
@@ -435,6 +435,51 @@ class TestNegativesAgainstLoop:
             LoopNegativeSampler(store, NegativeSamplingStrategy(kind, seed=0), (0, 1)).sample([(0, 10, 3.0)])
         # a batch that raises draws nothing
         assert sampler.rng.bit_generator.state == state and sampler.fallback_count == 0
+
+
+class TestSharedIndex:
+    """A sampler reading its pools from a given :class:`NeighborSampler`
+    draws what a sampler with its own index draws."""
+
+    @pytest.mark.parametrize("kind", ["random", "historical", "inductive"])
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_same_draws_as_own_index(self, kind, bipartite):
+        fallbacks = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            store = TestNegativesAgainstLoop._store(rng, bipartite)
+            lo, hi = (int(v) for v in np.sort(rng.integers(0, store.num_events + 1, 2)))
+            strategy = NegativeSamplingStrategy(kind, seed=seed)
+            got = NegativeSampler(store, strategy, (lo, hi), index=NeighborSampler(store))
+            want = NegativeSampler(store, strategy, (lo, hi))
+            for _ in range(4):
+                positives = TestNegativesAgainstLoop._positives(rng, store, int(rng.integers(0, 50)))
+                g_neg, g_fell = got.sample(positives)
+                w_neg, w_fell = want.sample(positives)
+                np.testing.assert_array_equal(g_neg, w_neg)
+                np.testing.assert_array_equal(g_fell, w_fell)
+                assert got.fallback_count == want.fallback_count
+                assert got.rng.bit_generator.state == want.rng.bit_generator.state
+            fallbacks += got.fallback_count
+        if kind != "random":
+            assert fallbacks > 0, "the cases should include fallbacks"
+
+    @pytest.mark.parametrize("nss", ["random", "historical", "inductive"])
+    def test_evaluation_builds_no_index(self, nss, monkeypatch):
+        store = _random_store(np.random.default_rng(0))
+        splits = SplitRanges(train=(0, 200), val=(200, 250), test=(250, 300))
+        sampler = NeighborSampler(store)
+        cfg = ModelConfig(n_neighbors=4, hidden=8, layers=1, heads=1, d_b=4, d_s=4, d_tr=4)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=0)
+        kwargs = dict(splits=splits, nss=nss, batch_size=20, eval_seed=3)
+        want = harness.evaluate_link_prediction(params, cfg, store, sampler, splits.val, **kwargs)
+
+        def no_index(*_args, **_kw):
+            raise AssertionError("NeighborSampler built during an evaluation")
+
+        monkeypatch.setattr(NeighborSampler, "__init__", no_index)
+        got = harness.evaluate_link_prediction(params, cfg, store, sampler, splits.val, **kwargs)
+        assert got == want
 
 
 def test_sampling_memory_independent_of_id_range():
