@@ -127,8 +127,8 @@ def cmd_ablate(args) -> int:
     run_cfg, store = _load(args)
     rows = ablate(store, run_cfg, epochs=args.epochs)
     for row in rows:
-        print(f"{row['layout']:>3} {row['variant']:>10}  width={row['token_width']:<5d} "
-              f"test_ap={row['test_ap']:.4f}")
+        ap = "n/a" if row["test_ap"] is None else f"{row['test_ap']:.4f}"
+        print(f"{row['layout']:>3} {row['variant']:>10}  width={row['token_width']:<5d} test_ap={ap}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ConfigError, ValueError, CheckFailure) as exc:
+    except (DataError, ConfigError, ValueError, CheckFailure, OSError) as exc:
         # bad input or a failed self-check: one line and argparse's usage
         # exit code, not a traceback
         print(f"tidegraph {args.command}: error: {exc}", file=sys.stderr)

@@ -56,6 +56,8 @@ class TraceSpec:
     def __post_init__(self):
         if self.threshold <= 0:
             raise ConfigError("trace threshold must be positive")
+        if self.probe_batches < 1:
+            raise ConfigError(f"trace probe_batches must be positive, got {self.probe_batches}")
 
 
 @dataclass
@@ -103,10 +105,10 @@ class RunConfig:
 
 def run_config_from_dict(raw: dict) -> RunConfig:
     raw = dict(raw or {})
-    model_raw = dict(raw.get("model") or {})
-    mte_raw = model_raw.pop("mte", None)
     trace_raw = raw.get("trace")
     try:
+        model_raw = dict(raw.get("model") or {})
+        mte_raw = model_raw.pop("mte", None)
         if mte_raw is not None:
             model_raw["mte"] = MteConfig(**mte_raw)
         return RunConfig(
@@ -124,7 +126,10 @@ def run_config_from_dict(raw: dict) -> RunConfig:
 def read_config(path) -> dict:
     """The raw mapping of a YAML run config (empty for an empty file)."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config {path} is not valid YAML: {' '.join(str(exc).split())}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -51,7 +51,10 @@ class DatasetManifest:
     def load(cls, path) -> "DatasetManifest":
         with open(path) as fh:
             raw = json.load(fh)
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # not a JSON object, a missing field or an unknown one
+            raise SchemaError(f"manifest {path}: {exc}") from None
 
     @classmethod
     def beside(cls, events_path) -> "DatasetManifest | None":

@@ -433,7 +433,8 @@ def ablate(
     epochs: int | None = None,
 ) -> list[dict]:
     """Train/evaluate every (layout, variant) cell under shared seed and
-    splits; all configs are built first, and equal ones train once."""
+    splits; all configs are built first, and equal ones train once. A cell
+    whose tokens have no columns is not trained, and its AP and AUC are None."""
     train_cfg = run_cfg.train if epochs is None else replace(run_cfg.train, epochs=epochs)
     cells = [(layout, variant, replace(run_cfg, model=variant_config(run_cfg.model, layout, variant),
                                        train=train_cfg, trace=None))
@@ -442,15 +443,17 @@ def ablate(
     rows = []
     for layout, variant, cell in cells:
         key = config_hash(cell)
-        if key not in test_by_config:
+        width = cell.model.token_width(store.d_n, store.d_e)
+        if width and key not in test_by_config:
             test_by_config[key] = train(store, cell).report["test"]
+        test = test_by_config.get(key, {})
         rows.append(
             {
                 "layout": layout,
                 "variant": variant,
-                "token_width": cell.model.token_width(store.d_n, store.d_e),
-                "test_ap": test_by_config[key]["ap"],
-                "test_auc": test_by_config[key]["auc"],
+                "token_width": width,
+                "test_ap": test.get("ap"),
+                "test_auc": test.get("auc"),
             }
         )
     return rows
@@ -486,7 +489,6 @@ def write_trace_csv(path, records) -> None:
 
 def write_ablation_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layout", "variant", "token_width", "test_ap", "test_auc"])
-        for r in rows:
-            writer.writerow([r["layout"], r["variant"], r["token_width"], repr(r["test_ap"]), repr(r["test_auc"])])
+        writer = csv.DictWriter(fh, ["layout", "variant", "token_width", "test_ap", "test_auc"])
+        writer.writeheader()
+        writer.writerows(rows)

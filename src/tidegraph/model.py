@@ -12,10 +12,11 @@ float32): parameters, activations, caches and gradients. The time encoders
 take float64 arguments: the offset dt, omega * dt and its reduction by 2π,
 because over spans of years a float32 ulp of dt is seconds. The cosine of the
 reduced argument is float32, and so is the time block of a
-:class:`PairBatch`. The other encoder blocks are float64, and
-:func:`_assemble_tokens` casts them once. Logits are lifted back to float64
-for the sigmoid and the loss, and :func:`grad_check` checks a float64 copy of
-the parameters; the float32 time columns it reads are exact in float64.
+:class:`PairBatch`. Its features and the learned blocks' inputs are float64,
+and :func:`_assemble_tokens` casts them once as it gathers them. Logits are
+lifted back to float64 for the sigmoid and the loss, and :func:`grad_check`
+checks a float64 copy of the parameters; the float32 time columns it reads
+are exact in float64.
 
 Every large array of a step (the token matrix, activations, forward caches
 and backward temporaries) lives in the parameters' :class:`~.attention.Workspace`
@@ -26,8 +27,9 @@ The probabilities it returns, the gradients in ``params.grads`` and the
 :class:`PairBatch` arrays never share memory with the workspace.
 
 Packed rows: :func:`_assemble_tokens` gathers the R valid slots of a batch,
-in :func:`to_sequences` order, into an (R, width) token matrix, and the count
-lift and the season and trend embeddings run on those rows. From there the
+in :func:`to_sequences` order, into an (R, width) token matrix with the
+columns of :meth:`ModelConfig.token_blocks`, and the count lift and the
+season and trend embeddings run on those rows. From there the
 input projection, every transformer layer's LayerNorms, residual sums and
 FFN, the attention's output projection, and the readout work on (R, ·)
 rows, and so do their gradients and the attention's q, k and v weight and
@@ -74,6 +76,8 @@ CHECKPOINT_VERSION = 2
 COMPUTE_DTYPE = np.float32
 # K in grad_check's roundoff allowance K * eps_mach * |L| / epsilon.
 ROUNDOFF_FACTOR = 4.0
+# The parameters of the season and trend blocks' linear lifts: weight and bias under "ste.".
+_STE_PARAMS = {"season": ("ws", "bs"), "trend": ("wt", "bt")}
 
 
 @dataclass
@@ -84,8 +88,8 @@ class ModelConfig:
     node ("sl"), the pair's two windows stacked into one sequence ("ml"), or
     one sequence per node with interaction context columns ("il", default).
     ``time_mode`` picks the temporal block: "mix" (fine + calendar term),
-    "fine", or "none". The interaction-count and season-trend blocks only
-    apply to the "il" layout.
+    "fine", or "none". :meth:`token_blocks` gives the blocks of a token
+    under these switches.
     """
 
     n_neighbors: int = 20
@@ -109,6 +113,8 @@ class ModelConfig:
             raise ConfigError(f"layout must be il/sl/ml, got {self.layout!r}")
         if self.time_mode not in ("mix", "fine", "none"):
             raise ConfigError(f"time_mode must be mix/fine/none, got {self.time_mode!r}")
+        if self.neighbor_strategy not in ("recent", "uniform"):
+            raise ConfigError(f"neighbor_strategy must be recent/uniform, got {self.neighbor_strategy!r}")
         if self.hidden % self.heads:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
         if not (0.0 <= self.dropout < 1.0):
@@ -116,7 +122,7 @@ class ModelConfig:
         for name in ("n_neighbors", "hidden", "layers", "heads", "d_b", "d_s", "d_tr"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.ste_active and (self.ste_window % 2 == 0 or not 1 <= self.ste_window <= self.n_neighbors):
+        if "season" in dict(self.token_blocks(0)) and self.ste_window not in range(1, self.n_neighbors + 1, 2):
             raise ConfigError(f"ste_window must be an odd integer in [1, n_neighbors={self.n_neighbors}], "
                               f"got {self.ste_window}")
 
@@ -124,29 +130,25 @@ class ModelConfig:
     def d_head(self) -> int:
         return self.hidden // self.heads
 
-    @property
-    def time_dim(self) -> int:
-        if self.time_mode == "none":
-            return 0
-        if self.layout == "il" and self.time_mode == "mix":
-            return self.mte.output_dim
-        return self.mte.d_t
-
-    @property
-    def bie_active(self) -> bool:
-        return self.layout == "il" and self.use_bie
-
-    @property
-    def ste_active(self) -> bool:
-        return self.layout == "il" and self.use_ste
+    def token_blocks(self, d_feat: int) -> list[tuple[str, int]]:
+        """A token's blocks in column order, as (name, width) pairs: the d_feat
+        features ``h``; unless time_mode is "none", a time block, ``tmix``
+        (mixed granularity) on layout il in mode "mix" and ``tfine`` otherwise;
+        and on layout il only, the learned blocks ``bie``, ``season`` and
+        ``trend`` of the encoders that are on."""
+        blocks = [("h", d_feat)]
+        if self.time_mode != "none":
+            mixed = self.layout == "il" and self.time_mode == "mix"
+            blocks.append(("tmix", self.mte.output_dim) if mixed else ("tfine", self.mte.d_t))
+        if self.layout == "il":
+            if self.use_bie:
+                blocks.append(("bie", self.d_b))
+            if self.use_ste:
+                blocks += [("season", self.d_s), ("trend", self.d_tr)]
+        return blocks
 
     def token_width(self, d_n: int, d_e: int) -> int:
-        w = d_n + d_e + self.time_dim
-        if self.bie_active:
-            w += self.d_b
-        if self.ste_active:
-            w += self.d_s + self.d_tr
-        return w
+        return sum(width for _, width in self.token_blocks(d_n + d_e))
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -171,7 +173,10 @@ class ModelParameters:
         self.d_e = d_e
         rng = np.random.default_rng(seed)
         h = cfg.hidden
-        width = cfg.token_width(d_n, d_e)
+        blocks = dict(cfg.token_blocks(d_n + d_e))
+        width = sum(blocks.values())
+        if width == 0:
+            raise ConfigError(f"layout {cfg.layout!r}, time_mode {cfg.time_mode!r}: no token columns without features")
         vals: dict[str, np.ndarray] = {}
 
         vals["input.w"] = _glorot(rng, (width, h), width, h)
@@ -191,16 +196,15 @@ class ModelParameters:
             vals[p + "ffn_b2"] = np.zeros(h)
             vals[p + "ln2_g"] = np.ones(h)
             vals[p + "ln2_b"] = np.zeros(h)
-        if cfg.bie_active:
+        if "bie" in blocks:
             vals["bie.w1"] = _glorot(rng, (2, cfg.d_b), 2, cfg.d_b)
             vals["bie.b1"] = np.zeros(cfg.d_b)
             vals["bie.w2"] = _glorot(rng, (cfg.d_b, cfg.d_b), cfg.d_b, cfg.d_b)
             vals["bie.b2"] = np.zeros(cfg.d_b)
-        if cfg.ste_active:
-            vals["ste.ws"] = _glorot(rng, (1, cfg.d_s), 1, cfg.d_s)
-            vals["ste.bs"] = np.zeros(cfg.d_s)
-            vals["ste.wt"] = _glorot(rng, (1, cfg.d_tr), 1, cfg.d_tr)
-            vals["ste.bt"] = np.zeros(cfg.d_tr)
+        for name, (w, b) in _STE_PARAMS.items():
+            if name in blocks:
+                vals[f"ste.{w}"] = _glorot(rng, (1, blocks[name]), 1, blocks[name])
+                vals[f"ste.{b}"] = np.zeros(blocks[name])
         vals["link.w1"] = _glorot(rng, (2 * h, h), 2 * h, h)
         vals["link.b1"] = np.zeros(h)
         vals["link.w2"] = _glorot(rng, (h, 1), h, 1)
@@ -252,15 +256,16 @@ class PairBatch:
     """Encoder outputs for a batch of candidate pairs, ready for assembly.
 
     Sequences are stacked source-block-first: row i holds the source window
-    of pair i and row P+i the target window.
+    of pair i and row P+i the target window. A field whose block is not in
+    :meth:`ModelConfig.token_blocks` is None.
     """
 
-    h: np.ndarray  # (2P, n, d_n+d_e)
-    # (2P, n, time_dim) float32: a table of the batch's distinct offsets, gathered
+    h: np.ndarray  # (2P, n, d_n+d_e): block h
+    # (2P, n, width) float32, block tmix or tfine: a table of the batch's distinct offsets, gathered
     tmix: np.ndarray | None
-    counts: np.ndarray | None  # (2P, n, 2)
-    season: np.ndarray | None  # (2P, n, 1)
-    trend: np.ndarray | None  # (2P, n, 1)
+    counts: np.ndarray | None  # (2P, n, 2): the input of block bie
+    season: np.ndarray | None  # (2P, n, 1): the input of block season
+    trend: np.ndarray | None  # (2P, n, 1): the input of block trend
     mask: np.ndarray  # (2P, n) bool
     token_ids: np.ndarray  # (2P, n) int64
     num_pairs: int
@@ -272,17 +277,10 @@ def featurize_pairs(
     store,
     cfg: ModelConfig,
 ) -> PairBatch:
-    """Run the fixed encoders over sampled window pairs.
-
-    A token is the raw feature block (node features by id and edge features
-    by event id, zero on PAD slots) followed by layout-specific context
-    columns, which :func:`_assemble_tokens` concatenates in this order:
-
-    * ``sl`` - one window per node, tokens ``[features || fine-time]``;
-    * ``ml`` - ``sl`` tokens; :func:`to_sequences` stacks the source and
-      target windows of a pair into one 2n sequence, source block first;
-    * ``il`` - one window per node, tokens ``[features || mixed-time ||
-      interaction-counts embedding || season embedding || trend embedding]``.
+    """Run the fixed encoders over sampled window pairs, for exactly the
+    blocks of ``cfg.token_blocks``: the features ``h`` (node features by id
+    and edge features by event id, zero on PAD slots), the time block, and
+    the inputs of the learned blocks (interaction counts, season and trend).
 
     Every block is built for all 2P windows at once, the time block as one
     float32 row per distinct offset gathered onto the grid; the per-pair
@@ -293,6 +291,7 @@ def featurize_pairs(
         raise ValueError("empty batch")
     n = seq_pairs[0][0].n
     seqs = [sp[0] for sp in seq_pairs] + [sp[1] for sp in seq_pairs]
+    blocks = dict(cfg.token_blocks(store.d_n + store.d_e))
 
     times = np.stack([seq.times for seq in seqs])
     qtimes = np.array([[seq.query_time] for seq in seqs], dtype=np.float64)
@@ -303,17 +302,17 @@ def featurize_pairs(
     h[mask] = np.concatenate([store.node_features[token_ids[mask]], store.edge_features[eids]], axis=1)
 
     tmix = None
-    if cfg.time_mode != "none":
+    if blocks.keys() & {"tfine", "tmix"}:
         # offsets repeat: every PAD slot reads 0, a negative reuses its positive's source window
         offsets, at = np.unique(qtimes - times, return_inverse=True)
         table = encode_fine_time(offsets, cfg.mte)
-        if cfg.layout == "il" and cfg.time_mode == "mix":
+        if "tmix" in blocks:
             _, coarse = encode_coarse_time(offsets, cfg.mte)
             table = mix_temporal(table, coarse, cfg.mte.combine)
         tmix = table.astype(np.float32, copy=False)[at.reshape(times.shape)]
 
     counts = None
-    if cfg.bie_active:
+    if "bie" in blocks:
         counts = np.zeros((2 * p, n, 2))
         for i, (src_seq, tgt_seq) in enumerate(seq_pairs):
             src_new, tgt_new = bie_reconstruct(src_seq, tgt_seq, index)
@@ -322,7 +321,7 @@ def featurize_pairs(
             counts[p + i] = i_tgt
 
     season = trend = None
-    if cfg.ste_active:
+    if "season" in blocks:
         signal = np.where(token_ids == PAD_ID, 0.0, token_ids / float(store.num_nodes))[..., None]
         parts = ste_decompose(signal, cfg.ste_window)
         season, trend = parts.seasonal, parts.trend
@@ -335,20 +334,19 @@ def featurize_pairs(
 
 def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
     """Token rows (R, width) in the compute dtype, in the workspace: one row
-    per valid slot, in :func:`to_sequences` order. The encoder blocks are
-    gathered and cast straight into their columns; the count lift
-    and the season and trend embeddings run on the gathered rows, whose cast
-    inputs are what the backward pass reads."""
+    per valid slot, in :func:`to_sequences` order, with the columns of
+    ``cfg.token_blocks``. ``h`` and the time block are gathered and cast into
+    theirs (another width raises :class:`CheckFailure`); the count lift and the
+    season and trend embeddings run on the gathered rows, whose cast inputs
+    the cache keeps by block name for the backward pass, and write into theirs."""
     ws = params.workspace
     v = params.values
-    blocks = [batch.h] + ([batch.tmix] if cfg.time_mode != "none" else [])
-    for a in blocks + [batch.counts, batch.season, batch.trend]:
-        if a is not None and a.shape[:-1] != batch.mask.shape:
-            raise ValueError(f"encoder block of shape {a.shape} does not match windows {batch.mask.shape}")
     slots = to_sequences(np.arange(batch.mask.size).reshape(batch.mask.shape), cfg)[to_sequences(batch.mask, cfg)]
     in_order = np.array_equal(slots, np.arange(batch.mask.size))  # every slot valid, windows in order
 
     def gather(a, out):
+        if a.shape[:-1] != batch.mask.shape:
+            raise ValueError(f"encoder block of shape {a.shape} does not match windows {batch.mask.shape}")
         a = a.reshape(batch.mask.size, a.shape[-1])
         out[...] = a if in_order else a[slots]
         return out
@@ -356,35 +354,25 @@ def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch
     def rows(key, width):
         return ws.get(key, (len(slots), width), params.dtype)
 
-    named = []
+    blocks = cfg.token_blocks(params.d_n + params.d_e)
+    tokens = rows("tokens", sum(width for _, width in blocks))
     cache = {}
-    if cfg.bie_active:
-        emb, cache["bie"] = nn.ffn_forward(
-            gather(batch.counts, rows("bie.counts", 2)), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"],
-            ws=ws, key="bie",
-        )
-        named.append(("bie", emb))
-    if cfg.ste_active:
-        for name, w, b in (("season", "ste.ws", "ste.bs"), ("trend", "ste.wt", "ste.bt")):
-            x = gather(getattr(batch, name), rows(f"{name}.x", 1))
-            emb, cache[name] = nn.linear_forward(x, v[w], v[b], out=rows(f"{name}.y", v[w].shape[1]))
-            named.append((name, emb))
-    slices = {}
-    offset = sum(b.shape[-1] for b in blocks)
-    for name, emb in named:
-        slices[name] = (offset, offset + emb.shape[-1])
-        offset += emb.shape[-1]
-    expected = cfg.token_width(batch.h.shape[-1], 0)
-    if offset != expected:
-        raise CheckFailure(f"token width {offset} != expected {expected}")
-    tokens = rows("tokens", offset)
     col = 0
-    for block in blocks:
-        gather(block, tokens[:, col : col + block.shape[-1]])
-        col += block.shape[-1]
-    for name, emb in named:
-        tokens[:, slice(*slices[name])] = emb
-    cache["slices"] = slices
+    for name, width in blocks:
+        cols = tokens[:, col : col + width]
+        col += width
+        if name == "bie":
+            x = gather(batch.counts, rows("bie.counts", 2))
+            emb, cache["bie"] = nn.ffn_forward(x, v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"], ws=ws, key="bie")
+            cols[...] = emb
+        elif name in _STE_PARAMS:
+            w, b = (v[f"ste.{k}"] for k in _STE_PARAMS[name])
+            _, cache[name] = nn.linear_forward(gather(getattr(batch, name), rows(f"{name}.x", 1)), w, b, out=cols)
+        else:
+            block = batch.h if name == "h" else batch.tmix
+            if block is None or block.shape[-1] != width:
+                raise CheckFailure(f"token width: the batch's block {name!r} is not the table's {width} columns")
+            gather(block, cols)
     return tokens, cache
 
 
@@ -480,24 +468,23 @@ def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np
         params.add_grads(f"layers.{l}", layer_grads)
 
     asm = cache["asm"]
-    slices = asm["slices"]
     w_in = params.values["input.w"]
     _, dw, db = nn.linear_backward(dx, cache["tokens"], w_in, need_dx=False)
     params.add_grads("input", {"w": dw, "b": db})
-    if not slices:
-        return
-    # only the learned token blocks of layout il need the token gradient;
-    # they are the last columns, so one GEMM against the tail of input.w
-    tail = min(a for a, _ in slices.values())
-    out = params.workspace.get("grad.input.dx", (len(dx), len(w_in) - tail), params.dtype)
-    dtail = np.matmul(dx, w_in[tail:].T, out=out)
-    cols = {name: dtail[:, a - tail : b - tail] for name, (a, b) in slices.items()}
-    if "bie" in cols:
-        params.add_grads("bie", nn.ffn_backward(cols["bie"], asm["bie"])[1])
-    if "season" in cols:
-        _, dws, dbs = nn.linear_backward(cols["season"], asm["season"], params.values["ste.ws"], need_dx=False)
-        _, dwt, dbt = nn.linear_backward(cols["trend"], asm["trend"], params.values["ste.wt"], need_dx=False)
-        params.add_grads("ste", {"ws": dws, "bs": dbs, "wt": dwt, "bt": dbt})
+    # only the learned blocks, whose forward caches assembly kept, need the
+    # token gradient; they are the last columns, so one GEMM against the tail
+    # of input.w
+    learned = [(name, width) for name, width in cfg.token_blocks(params.d_n + params.d_e) if name in asm]
+    widths = [width for _, width in learned]
+    out = params.workspace.get("grad.input.dx", (len(dx), sum(widths)), params.dtype)
+    dtail = np.matmul(dx, w_in[len(w_in) - sum(widths) :].T, out=out)
+    for (name, _), grad in zip(learned, np.split(dtail, np.cumsum(widths)[:-1], axis=1)):
+        if name == "bie":
+            params.add_grads("bie", nn.ffn_backward(grad, asm["bie"])[1])
+        else:
+            w, b = _STE_PARAMS[name]
+            _, dw, db = nn.linear_backward(grad, asm[name], params.values[f"ste.{w}"], need_dx=False)
+            params.add_grads("ste", {w: dw, b: db})
 
 
 def loss_and_grads(

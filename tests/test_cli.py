@@ -10,7 +10,7 @@ import pytest
 import tidegraph.cli
 import tidegraph.harness
 from tidegraph.cli import main
-from tidegraph.config import RunConfig, config_hash, fit_time_encoder, load_config
+from tidegraph.config import RunConfig, config_hash, fit_time_encoder, load_config, run_config_from_dict
 from tidegraph.errors import ConfigError
 from tidegraph.events import ingest_events
 from tidegraph.harness import ABLATION_VARIANTS, variant_config
@@ -106,6 +106,31 @@ def test_non_finite_timestamp_rejected(tmp_path, capsys):
     assert "line 2: non-finite timestamp" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("option, text, message", [
+    ("--data", None, "No such file or directory"),
+    ("--manifest", None, "No such file or directory"),
+    ("--config", None, "No such file or directory"),
+    ("--checkpoint", None, "No such file or directory"),
+    ("--config", "model: {layout: il\n", "is not valid YAML: while parsing a flow mapping"),
+    ("--config", "model: 5\n", "bad config field: 'int' object is not iterable"),
+    ("--manifest", "[200]", "must be a mapping, not list"),
+    ("--manifest", '{"d_e": 0}', "missing 1 required positional argument: 'num_nodes'"),
+    ("--manifest", '{"num_nodes": 200, "nodes": 200}', "unexpected keyword argument 'nodes'"),
+])
+def test_bad_input_file(tmp_path, capsys, option, text, message):
+    # a missing input file (text None) or a malformed one
+    data, cfg = _small_run(tmp_path)
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    args = {"--data": data, "--config": cfg, option: str(path)}
+    command = "eval" if option == "--checkpoint" else "train"
+    capsys.readouterr()
+    assert main([command, *(part for item in args.items() for part in item)]) == 2
+    line = _error_line(capsys)
+    assert line.startswith(f"tidegraph {command}: error: ") and message in line
+
+
 SMALL_MODEL = """
 model:
   n_neighbors: 4
@@ -193,6 +218,12 @@ def test_nss_typo_rejected_before_training(tmp_path, capsys, monkeypatch):
     assert "'histrical'" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("probe_batches", [0, -1])
+def test_trace_probe_batches_checked_on_load(probe_batches):
+    with pytest.raises(ConfigError, match=f"probe_batches must be positive, got {probe_batches}"):
+        run_config_from_dict({"trace": {"probe_batches": probe_batches}})
+
+
 def test_run_config_normalizes_nss():
     assert RunConfig(nss="rnd").nss == "random"
     assert replace(RunConfig(), nss="ind").nss == "inductive"
@@ -255,28 +286,41 @@ def test_trace_writes_csv(tmp_path):
     assert len(rows) > 1
 
 
-def test_ablate_trains_each_distinct_cell_once(tmp_path, monkeypatch):
+def test_ablate_trains_each_distinct_cell_once(tmp_path, monkeypatch, capsys):
     # on the sl and ml layouts, -bie, -ste and fine-only configure the same
-    # model as full: 15 cells, 9 distinct configs
+    # model as full: 15 cells, 9 distinct configs; on this featureless corpus
+    # the -mte cells of sl and ml have tokens with no columns and are not
+    # trained, so 7 train
     data, cfg = _small_run(tmp_path)
     train = tidegraph.harness.train
     trained = []
     monkeypatch.setattr(tidegraph.harness, "train", lambda store, run_cfg: trained.append(run_cfg) or train(store, run_cfg))
     out = tmp_path / "out"
     assert main(["ablate", "--data", data, "--config", cfg, "--epochs", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("width=0     test_ap=n/a") == 2
     with open(out / "ablation.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 15 and len(trained) == 9
-    assert len({config_hash(c) for c in trained}) == 9
+    assert len(rows) == 15 and len(trained) == 7
+    assert len({config_hash(c) for c in trained}) == 7
     # every row is what training its cell on its own gives
     store, run_cfg = ingest_events(data), load_config(cfg)
     cells = [(layout, variant) for layout in ("sl", "ml", "il") for variant in ABLATION_VARIANTS]
     for row, (layout, variant) in zip(rows, cells):
         model = variant_config(run_cfg.model, layout, variant)
-        test = train(store, replace(run_cfg, model=model, train=replace(run_cfg.train, epochs=1))).report["test"]
         assert (row["layout"], row["variant"]) == (layout, variant)
         assert row["token_width"] == str(model.token_width(store.d_n, store.d_e))
+        if layout != "il" and variant == "-mte":
+            assert (row["token_width"], row["test_ap"], row["test_auc"]) == ("0", "", "")
+            continue
+        test = train(store, replace(run_cfg, model=model, train=replace(run_cfg.train, epochs=1))).report["test"]
         assert (row["test_ap"], row["test_auc"]) == (repr(test["ap"]), repr(test["auc"]))
+
+
+def test_train_rejects_tokens_with_no_columns(tmp_path, capsys):
+    data, cfg = _small_run(tmp_path, model="  layout: sl\n  time_mode: none\n")
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--config", cfg]) == 2
+    assert "layout 'sl', time_mode 'none': no token columns without features" in _error_line(capsys)
 
 
 def test_ablate_rejects_a_bad_ste_window_before_training(tmp_path, capsys, monkeypatch):

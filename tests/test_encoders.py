@@ -223,7 +223,9 @@ class TestTimeTable:
         positives = harness._event_pairs(store, range(30, 60))
         batch, delta = self._scored(store, cfg, positives, monkeypatch)
         ref = self._reference(delta, cfg)
-        assert batch.tmix.dtype == np.float32 and batch.tmix.shape == ref.shape == (120, 20, cfg.time_dim)
+        time_block = "tfine" if cfg.time_mode == "fine" or cfg.layout != "il" else "tmix"
+        width = dict(cfg.token_blocks(store.d_n + store.d_e))[time_block]
+        assert batch.tmix.dtype == np.float32 and batch.tmix.shape == ref.shape == (120, 20, width)
         err = np.abs(batch.tmix - ref)
         assert np.all(err <= COS_TOL + 2.0**-24 * np.abs(ref))
 

@@ -80,6 +80,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(layout="both")
 
+    def test_neighbor_strategy_checked(self):
+        with pytest.raises(ConfigError, match="neighbor_strategy must be recent/uniform, got 'recnt'"):
+            small_cfg(neighbor_strategy="recnt")
+        assert small_cfg(neighbor_strategy="uniform").neighbor_strategy == "uniform"
+
     @pytest.mark.parametrize("window", [0, 2, 5, -1])
     def test_ste_window_checked_when_ste_is_on(self, window):
         # n_neighbors is 4: the window must be odd and at most 4

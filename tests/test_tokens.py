@@ -1,4 +1,4 @@
-"""Token assembly widths, slicing, and masks for the three layouts.
+"""Token assembly widths, block table, slicing, and masks for the three layouts.
 
 Tokens are built by one path: ``featurize_pairs`` runs the fixed encoders,
 and ``_assemble_tokens`` gathers their blocks into one token row per valid
@@ -80,6 +80,51 @@ def _rows(block):
     return block.reshape(-1, block.shape[-1])
 
 
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+@pytest.mark.parametrize("time_mode", ["mix", "fine", "none"])
+@pytest.mark.parametrize("use_bie", [True, False])
+@pytest.mark.parametrize("use_ste", [True, False])
+@pytest.mark.parametrize("combine", ["sum", "concat"])
+def test_block_table_is_the_token_layout(layout, time_mode, use_bie, use_ste, combine):
+    # ModelConfig.token_blocks sizes input.w, decides which encoders run and
+    # places every block's columns in the assembled tokens
+    cfg = _cfg(layout=layout, time_mode=time_mode, use_bie=use_bie, use_ste=use_ste,
+               d_b=2, d_s=2, d_tr=3, mte=MteConfig(d_t=3, combine=combine))
+    pairs = [(_seq([PAD_ID, 5, 6, 7]), _seq([1, 2, PAD_ID, 3], anchor=9)),
+             (_seq([4, 5, 6, 7], anchor=1), _seq([PAD_ID, PAD_ID, 8, 9], anchor=8))]
+    batch = featurize_pairs(pairs, NO_INDEX, _store(2), cfg)
+    params = ModelParameters(cfg, 0, 2, seed=1)
+    tokens, _ = _assemble_tokens(params, cfg, batch)
+    blocks = cfg.token_blocks(2)
+
+    names = ["h"] + {"none": [], "fine": ["tfine"], "mix": ["tmix" if layout == "il" else "tfine"]}[time_mode]
+    if layout == "il":
+        names += ["bie"] * use_bie + ["season", "trend"] * use_ste
+    assert [name for name, _ in blocks] == names
+    assert sum(width for _, width in blocks) == len(params.values["input.w"]) == tokens.shape[1]
+    assert (batch.tmix is not None) == bool({"tfine", "tmix"} & set(names))
+    assert (batch.counts is not None) == ("bie" in names)
+    assert (batch.season is not None) == (batch.trend is not None) == ("season" in names)
+
+    def rows(a):
+        """A (2P, n, d) block as the cast token rows of its valid slots."""
+        return to_sequences(a, cfg)[to_sequences(batch.mask, cfg)].astype(np.float32)
+
+    v = params.values
+    source = {
+        "h": lambda: rows(batch.h),
+        "tfine": lambda: rows(batch.tmix),
+        "tmix": lambda: rows(batch.tmix),
+        "bie": lambda: nn.ffn_forward(rows(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])[0],
+        "season": lambda: rows(batch.season) @ v["ste.ws"] + v["ste.bs"],
+        "trend": lambda: rows(batch.trend) @ v["ste.wt"] + v["ste.bt"],
+    }
+    col = 0
+    for name, width in blocks:
+        np.testing.assert_array_equal(tokens[:, col : col + width], source[name](), err_msg=name)
+        col += width
+
+
 class TestInteractionTokens:
     def test_reference_width(self):
         # no node features, 4 edge features, then 100/50/100 context columns
@@ -104,13 +149,12 @@ class TestInteractionTokens:
         batch = _random_batch(np.random.default_rng(0), p=2, n=4, d=3, t=6)
         params = ModelParameters(cfg, 0, 3, seed=1)
         v = params.values
-        t, cache = _assemble_tokens(params, cfg, batch)
+        t, _ = _assemble_tokens(params, cfg, batch)
         # the float64 encoder outputs are cast once to the compute dtype
         cast = lambda a: _rows(a).astype(np.float32)
         assert t.dtype == np.float32
         np.testing.assert_array_equal(t[:, :3], cast(batch.h))
         np.testing.assert_array_equal(t[:, 3:9], cast(batch.tmix))
-        assert cache["slices"] == {"bie": (9, 11), "season": (11, 13), "trend": (13, 15)}
         bie, _ = nn.ffn_forward(cast(batch.counts), v["bie.w1"], v["bie.b1"], v["bie.w2"], v["bie.b2"])
         np.testing.assert_array_equal(t[:, 9:11], bie)
         np.testing.assert_array_equal(t[:, 11:13], cast(batch.season) @ v["ste.ws"] + v["ste.bs"])

@@ -11,7 +11,10 @@ time-encoder alpha solved from the corpus duration, and an attention trace at
 epochs 0 and -1 with threshold 30. ``--dropout RATE`` sets another dropout
 rate for every run. A grid at rate 0 draws no dropout mask, so it checks a
 change to the arithmetic even when the change also moves the dropout stream
-(for example, by drawing masks for fewer units).
+(for example, by drawing masks for fewer units). At rate 0 the cycle-il runs
+amplify float32-level changes about 250x by epoch 3, so a tolerance claim on
+them needs a control grid (the parent run with an ulp-level perturbation,
+compared against the parent's own grid) to show what the bound must absorb.
 
 ``compare A B`` byte-compares the three text artifacts of every run and
 compares every checkpoint array bitwise (dtype, shape and bytes). It prints
