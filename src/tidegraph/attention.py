@@ -53,6 +53,7 @@ is PAD, the readout sums the rows in place, as the grid they are.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import prod, sqrt
 
 import numpy as np
@@ -110,11 +111,29 @@ class Workspace:
     ``row_capacity`` rows, so the count of valid rows, which varies from
     batch to batch, does not reallocate it. Rows past the requested ones are
     never touched, so they take no resident memory.
+
+    ``shared_layers`` is true inside :meth:`inference`. There a model's
+    forward runs every transformer layer in the first layer's buffers, so
+    each layer's forward cache stays valid only until the next layer's
+    forward: after the pass only the last layer's is. A forward that
+    no backward follows (an evaluation) keeps one layer's buffers resident,
+    not one per layer.
     """
 
     def __init__(self):
         self._store: dict[str, np.ndarray] = {}
         self.row_capacity = 0
+        self.shared_layers = False
+
+    @contextmanager
+    def inference(self):
+        """A scope in which :attr:`shared_layers` is true; leaving it, by
+        return or by exception, sets it back to false."""
+        self.shared_layers = True
+        try:
+            yield
+        finally:
+            self.shared_layers = False
 
     def get(self, key: str, shape: tuple, dtype) -> np.ndarray:
         size = prod(shape)
@@ -316,7 +335,8 @@ def multi_head_attention(
     Returns (rows, cache). The cache keeps ``x`` and ``weights`` (wq, wk, wv,
     wo); its head arrays are head-first: ``q``/``k``/``v`` (J, ..., L, d_k)
     and ``attn`` (the softmax weights, before dropout) and ``dropped``
-    (J, ..., L, L). ``concat`` holds the (R, J d_k) context rows.
+    (J, ..., L, L), which is ``attn`` itself when dropout is inactive.
+    ``concat`` holds the (R, J d_k) context rows.
     """
     ws = _workspace(ws)
     buf = lambda role, shape: ws.get(f"{key}.{role}", shape, x.dtype)
@@ -330,8 +350,11 @@ def multi_head_attention(
     attn = np.matmul(q, np.swapaxes(k, -1, -2), out=buf("attn", head_shape[:-1] + head_shape[-2:-1]))
     attn *= scale
     masked_softmax(attn, mask, out=attn)
+    # inactive dropout returns attn itself and writes nothing
+    drops = training and dropout_rate != 0.0
     dropped, drop_scale = dropout_forward(
-        attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale", out=buf("dropped", attn.shape)
+        attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale",
+        out=buf("dropped", attn.shape) if drops else None,
     )
     context = np.matmul(dropped, v, out=ws.get(_GRID, head_shape, x.dtype))
     concat = buf("concat", (len(index), heads * d_head))

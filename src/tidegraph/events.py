@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+# The JSON values each annotation of DatasetManifest accepts, and its name in errors.
+_FIELD_TYPES = {
+    "int": (int, "an integer"), "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"), "str": (str, "a string"),
+}
+
+
 @dataclass
 class DatasetManifest:
     """Sidecar metadata for an event CSV."""
@@ -49,12 +56,24 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
+        """Read a manifest; a file that is not a JSON object of the fields,
+        each of its declared type, raises :class:`SchemaError` naming it."""
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"manifest {path}: not valid JSON: {exc}") from None
         try:
-            return cls(**raw)
+            manifest = cls(**raw)
         except TypeError as exc:  # not a JSON object, a missing field or an unknown one
             raise SchemaError(f"manifest {path}: {exc}") from None
+        for f in fields(cls):
+            value = getattr(manifest, f.name)
+            kinds, kind = _FIELD_TYPES[f.type]
+            # a JSON true or false is a Python int too
+            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
+                raise SchemaError(f"manifest {path}: {f.name} must be {kind}, got {value!r}")
+        return manifest
 
     @classmethod
     def beside(cls, events_path) -> "DatasetManifest | None":

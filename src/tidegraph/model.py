@@ -23,6 +23,12 @@ and backward temporaries) lives in the parameters' :class:`~.attention.Workspace
 (see :mod:`.attention` for its contract). So the cache that
 :func:`forward_batch` returns stays valid until the next forward on the same
 parameters, and a steady run of same-sized steps allocates no large array.
+Each transformer layer has its own buffers, except in evaluation:
+:func:`predict_probs` and :func:`batch_loss` run their forward in the
+workspace's inference scope, where every layer reuses layer 0's buffers and
+the cache keeps only the last layer's arrays valid (nothing reads it after
+the pass). An evaluation after training thus writes into buffers training
+made resident, and an evaluation-only run allocates one layer's.
 The probabilities it returns, the gradients in ``params.grads`` and the
 :class:`PairBatch` arrays never share memory with the workspace.
 
@@ -411,6 +417,11 @@ def forward_batch(
     forward on ``params``; the probabilities are a fresh array. Its
     ``tokens`` are the (R, width) token rows and ``final_rows`` the (R, h)
     output rows of the last layer.
+
+    Inside ``params.workspace.inference()`` every layer runs in layer 0's
+    buffers (key ``layers.0``), so of ``cache["layers"]`` only the last
+    entry is valid and the cache cannot take a backward pass; the
+    probabilities are bitwise the same. Outside it every layer's cache is.
     """
     p, n = batch.num_pairs, batch.mask.shape[1]
     ws = params.workspace
@@ -425,8 +436,8 @@ def forward_batch(
     for l in range(cfg.layers):
         # every layer writes its output rows over its input rows
         x, cache_l = nn.transformer_layer_forward(
-            x, mask, params.layer_view(l),
-            dropout_rate=cfg.dropout, rng=rng, training=training, ws=ws, key=f"layers.{l}", out=x,
+            x, mask, params.layer_view(l), dropout_rate=cfg.dropout, rng=rng, training=training,
+            ws=ws, key="layers.0" if ws.shared_layers else f"layers.{l}", out=x,
         )
         layer_caches.append(cache_l)
 
@@ -508,12 +519,14 @@ def loss_and_grads(
 
 
 def batch_loss(params, cfg, batch, labels) -> float:
-    probs, _ = forward_batch(params, cfg, batch, training=False)
-    return float(nn.bce_loss(probs, labels).mean())
+    return float(nn.bce_loss(predict_probs(params, cfg, batch), labels).mean())
 
 
 def predict_probs(params, cfg, batch) -> np.ndarray:
-    probs, _ = forward_batch(params, cfg, batch, training=False)
+    """The pair probabilities of an evaluation forward, which no backward
+    follows, so it runs in the workspace's inference scope."""
+    with params.workspace.inference():
+        probs, _ = forward_batch(params, cfg, batch, training=False)
     return probs
 
 

@@ -116,6 +116,11 @@ def test_non_finite_timestamp_rejected(tmp_path, capsys):
     ("--manifest", "[200]", "must be a mapping, not list"),
     ("--manifest", '{"d_e": 0}', "missing 1 required positional argument: 'num_nodes'"),
     ("--manifest", '{"num_nodes": 200, "nodes": 200}', "unexpected keyword argument 'nodes'"),
+    ("--manifest", '{"num_nodes": 200,', "input: not valid JSON: Expecting property name"),
+    ("--manifest", '{"num_nodes": "abc"}', "input: num_nodes must be an integer, got 'abc'"),
+    ("--manifest", '{"num_nodes": 200, "bipartite": 1}', "input: bipartite must be true or false, got 1"),
+    ("--manifest", '{"num_nodes": 200, "d_e": true}', "input: d_e must be an integer, got True"),
+    ("--manifest", '{"num_nodes": 200, "duration_seconds": "1d"}', "input: duration_seconds must be a number"),
 ])
 def test_bad_input_file(tmp_path, capsys, option, text, message):
     # a missing input file (text None) or a malformed one

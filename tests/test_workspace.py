@@ -7,8 +7,13 @@ batch, a smaller one, an evaluation of another size) leaves probabilities and
 gradients bitwise unchanged, that nothing handed to the caller lives in the
 workspace, and, with ``tracemalloc``, that a warm step allocates a small
 fraction of what it did when every step allocated its own arrays.
+Evaluation (``predict_probs``, ``batch_loss``) runs in the workspace's
+inference scope, where every layer shares layer 0's buffers: the tests check
+that it scores bitwise as the per-layer forward does, that the scope ends
+even on an exception, and that it keeps one layer's buffers resident.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,7 +22,10 @@ import pytest
 from tidegraph.config import RunConfig, fit_time_encoder
 from tidegraph.encoders import MteConfig
 from tidegraph.harness import build_scoring_batch, sample_pair_windows
-from tidegraph.model import ModelConfig, ModelParameters, featurize_pairs, forward_batch, loss_and_grads, predict_probs
+from tidegraph.errors import CheckFailure
+from tidegraph.model import (
+    ModelConfig, ModelParameters, batch_loss, featurize_pairs, forward_batch, loss_and_grads, predict_probs,
+)
 from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
 
@@ -65,7 +73,7 @@ def _aliases(array, params):
 
 
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
-@pytest.mark.parametrize("first_use", ["larger batch", "smaller batch", "evaluation"])
+@pytest.mark.parametrize("first_use", ["larger batch", "smaller batch", "evaluation", "evaluation between steps"])
 def test_reuse_is_bitwise_invisible(layout, first_use):
     cfg = _cfg(layout)
     store = _store()
@@ -75,7 +83,9 @@ def test_reuse_is_bitwise_invisible(layout, first_use):
     want_probs, want_grads = _step(fresh, cfg, batch, labels)
 
     used = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
-    if first_use == "evaluation":
+    if first_use.startswith("evaluation"):
+        if first_use == "evaluation between steps":
+            _step(used, cfg, *_batch(store, cfg, range(100, 104)))
         predict_probs(used, cfg, _batch(store, cfg, range(130, 137))[0])
     else:
         other, other_labels = _batch(store, cfg, range(100, 109 if first_use == "larger batch" else 102))
@@ -113,6 +123,41 @@ def test_nothing_handed_out_lives_in_the_workspace(layout):
     assert not any(np.shares_memory(a, b) for a in _buffers(copy) for b in _buffers(params))
 
 
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+@pytest.mark.parametrize("events, padded", [([0, 1, 147, 148, 149], True), (range(140, 146), False)],
+                         ids=["pad", "full"])
+def test_evaluation_scores_as_the_per_layer_forward(layout, events, padded):
+    cfg = _cfg(layout)
+    store = _store()
+    batch, labels = _batch(store, cfg, events)
+    assert batch.mask.all() != padded
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    probs = predict_probs(params, cfg, batch)
+    loss = batch_loss(params, cfg, batch, labels)
+    np.testing.assert_array_equal(probs, forward_batch(params, cfg, batch, training=False)[0])
+    assert loss == loss_and_grads(params, cfg, batch, labels, training=False)[0]
+    assert not params.workspace.shared_layers
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_inference_scope_ends_on_an_exception(layout):
+    cfg = _cfg(layout)
+    store = _store()
+    batch, labels = _batch(store, cfg, [0, 1, 147, 148, 149])
+    want_probs, want_grads = _step(ModelParameters(cfg, store.d_n, store.d_e, seed=2), cfg, batch, labels)
+
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    predict_probs(params, cfg, batch)
+    narrow = dataclasses.replace(batch, tmix=batch.tmix[..., :-1])
+    with pytest.raises(CheckFailure, match="token width"):
+        predict_probs(params, cfg, narrow)
+    assert not params.workspace.shared_layers
+    probs, grads = _step(params, cfg, batch, labels)
+    np.testing.assert_array_equal(probs, want_probs)
+    for name, g in want_grads.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
 def _budget_batch():
     """A batch shaped like the benchmark's cycle-train step: layout il with
     MTE, BIE and STE at the default sizes, 50 positives and 50 negatives,
@@ -124,17 +169,44 @@ def _budget_batch():
     return ModelParameters(cfg, store.d_n, store.d_e, seed=1), cfg, batch, labels
 
 
-def test_warm_step_allocation_budget():
-    params, cfg, batch, labels = _budget_batch()
-    assert batch.h.shape[:2] == (200, 20)
-    for _ in range(2):
-        loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+def _fresh_peak(call):
+    """tracemalloc's peak during ``call()``, above what was traced before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_warm_step_allocation_budget():
+    params, cfg, batch, labels = _budget_batch()
+    assert batch.h.shape[:2] == (200, 20)
+    step = lambda: loss_and_grads(params, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+    for _ in range(2):
+        step()
+    peak = _fresh_peak(step)
     assert peak < BUDGET, f"a warm step allocated a fresh peak of {peak / MIB:.2f} MiB"
     assert params.workspace.nbytes <= ALLOCATING_PEAK, f"workspace {params.workspace.nbytes / MIB:.2f} MiB"
+
+
+def test_warm_evaluation_allocation_budget():
+    params, cfg, batch, labels = _budget_batch()
+    assert cfg.layers == 2
+    for _ in range(2):
+        predict_probs(params, cfg, batch)
+    keys = list(params.workspace._store)
+    assert not any(key.startswith("layers.1.") for key in keys), keys
+    assert not any(key.endswith(".dropped") for key in keys), "inactive dropout requested its buffer"
+    peak = _fresh_peak(lambda: predict_probs(params, cfg, batch))
+    assert peak < BUDGET, f"a warm evaluation allocated a fresh peak of {peak / MIB:.2f} MiB"
+
+    # a copy has its own, empty workspace
+    trained = params.astype(params.dtype)
+    loss_and_grads(trained, cfg, batch, labels, training=True, rng=np.random.default_rng(0))
+    evaluation, training = params.workspace.nbytes, trained.workspace.nbytes
+    assert evaluation < training, f"evaluation {evaluation / MIB:.2f} MiB, training {training / MIB:.2f} MiB"
+    # an evaluation after training writes into buffers training made resident
+    predict_probs(trained, cfg, batch)
+    assert trained.workspace.nbytes == training
