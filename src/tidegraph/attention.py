@@ -42,24 +42,34 @@ C order of ``mask``; PAD slots have no row. The LayerNorms, the residual
 sums, the FFN and its dropout, the readout and all their gradients work on
 those R rows, and so do the attention's output projection and the weight
 and input gradients of its q, k and v projections. The attention's q, k
-and v projections, scores, softmax, dropout and context run on the padded
-grid, head-first: the layer scatters its rows into a zero-PAD (..., L, h)
-grid, which the attention takes and its cache keeps, and the attention
-gathers the context rows back before ``wo``, so it returns (R, h) rows.
-Its backward pass takes (R, h) rows, scatters the context gradient onto
-the grid and gathers the q, k and v gradients back to rows. When no slot
-is PAD, the readout sums the rows in place, as the grid they are.
+and v projections, scores, softmax, dropout and context run on a zero-PAD
+grid, head-first: the layer scatters its rows into a (..., m, h) grid,
+which the attention takes and its cache keeps, and the attention gathers
+the context rows back before ``wo``, so it returns (R, h) rows. Its
+backward pass takes (R, h) rows, scatters the context gradient onto the
+grid and gathers the q, k and v gradients back to rows. A model passes the
+compact grid of :func:`compact_grid`: each sequence's valid slots
+right-aligned in m columns, m the most valid slots of any sequence, which
+holds the rows in the same C order as the padded (..., L) mask. Dropout
+then draws the uniforms of the padded (J, ..., L, L) grid and keeps those
+at the compact slots' columns, so its stream does not depend on m, and the
+grid arrays' storage is sized for the padded grid (see :class:`Workspace`).
+When no slot is PAD, the readout sums the rows in place, as the grid they
+are.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from math import prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Workspace",
+    "PaddedColumns",
+    "compact_grid",
     "sigmoid",
     "masked_softmax",
     "masked_softmax_backward",
@@ -101,16 +111,20 @@ class Workspace:
 
     :meth:`get` returns a C-contiguous array of the requested shape and
     dtype with undefined contents, valid until the next :meth:`get` of the
-    same key. The storage behind a key is allocated on its first request and
-    replaced only by a larger one (or one of another dtype), so it grows to
-    the largest batch seen and never shrinks.
+    same key. A request has a capacity, an element count at least its size:
+    the storage behind a key is allocated on its first request and
+    replaced only when a request's capacity exceeds it (or the dtype
+    differs), so it grows to the largest capacity requested and never
+    shrinks.
 
     ``row_capacity`` is the most rows a packed row matrix of the current
     step can have: the slot count of its padded grid. Every 2-D request is
-    such a (rows, d) matrix; when its storage must grow, it is sized for
-    ``row_capacity`` rows, so the count of valid rows, which varies from
-    batch to batch, does not reallocate it. Rows past the requested ones are
-    never touched, so they take no resident memory.
+    such a (rows, d) matrix, whose capacity is ``row_capacity`` rows, so the
+    count of valid rows, which varies from batch to batch, does not
+    reallocate it. Other requests may name a capacity: the attention's
+    compact grid arrays name their size on the padded grid, so the compact
+    width, which also varies, does not reallocate them either. Elements past
+    the requested ones are never touched, so they take no resident memory.
 
     ``shared_layers`` is true inside :meth:`inference`. There a model's
     forward runs every transformer layer in the first layer's buffers, so
@@ -135,12 +149,14 @@ class Workspace:
         finally:
             self.shared_layers = False
 
-    def get(self, key: str, shape: tuple, dtype) -> np.ndarray:
+    def get(self, key: str, shape: tuple, dtype, capacity: int = 0) -> np.ndarray:
         size = prod(shape)
+        if len(shape) == 2 and shape[0] <= self.row_capacity:
+            capacity = max(capacity, self.row_capacity * shape[1])
+        capacity = max(size, capacity)
         buf = self._store.get(key)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            rows = len(shape) == 2 and shape[0] <= self.row_capacity
-            buf = self._store[key] = np.empty(self.row_capacity * shape[1] if rows else size, dtype)
+        if buf is None or buf.dtype != dtype or buf.size < capacity:
+            buf = self._store[key] = np.empty(capacity, dtype)
         return buf[:size].reshape(shape)
 
     @property
@@ -150,6 +166,33 @@ class Workspace:
 
 def _workspace(ws):
     return Workspace() if ws is None else ws
+
+
+class PaddedColumns(NamedTuple):
+    """Where the slots of a compact (..., m) attention grid sit in its padded
+    (..., L) grid: each slot's column ``cols`` (..., m) and the width L."""
+
+    cols: np.ndarray
+    width: int
+
+
+def compact_grid(mask):
+    """The compact attention grid of a padded (..., L) sequence mask, as
+    (compact mask, :class:`PaddedColumns`). Its width m is the most valid
+    slots of any sequence, and sequence s's c_s valid slots fill its last
+    c_s columns in their order, so the valid slots have the C order of
+    ``mask``. The first m - c_s columns map to PAD columns of the padded
+    grid. With no PAD slot the compact mask is ``mask``."""
+    counts = mask.sum(axis=-1)
+    m = int(counts.max(initial=0))
+    cols = np.argsort(mask, axis=-1, kind="stable")[..., mask.shape[-1] - m :]
+    return np.arange(m) >= m - counts[..., None], PaddedColumns(cols, mask.shape[-1])
+
+
+def _padded_size(shape, width, square=False):
+    """The element count of a (..., m, d) grid array, or of a (..., m, m)
+    one when ``square``, on the padded grid of width L = ``width``."""
+    return prod(shape[:-2]) * width * (width if square else shape[-1])
 
 
 def sigmoid(x):
@@ -196,10 +239,10 @@ def _row_peak(scores):
     return peak
 
 
-def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray, *, ws: Workspace | None = None) -> np.ndarray:
-    """``attn * (grad - sum(grad * attn))``, written over ``grad``."""
-    product = _workspace(ws).get("scratch.softmax", grad.shape, grad.dtype)
-    inner = np.multiply(grad, attn, out=product).sum(axis=-1, keepdims=True)
+def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``attn * (grad - sum(grad * attn))``, written over ``grad``; the
+    product goes to ``scratch``, an array of ``grad``'s shape, if given."""
+    inner = np.multiply(grad, attn, out=scratch).sum(axis=-1, keepdims=True)
     grad -= inner
     grad *= attn
     return grad
@@ -218,13 +261,43 @@ def dropout_forward(x, rate, rng, training, *, ws=None, key="dropout", out=None)
         return x, None
     ws = _workspace(ws)
     scale = ws.get(key, x.shape, x.dtype)
-    flat = scale.reshape(-1)
-    for a in range(0, flat.size, UNIFORM_CHUNK):
-        part = flat[a : a + UNIFORM_CHUNK]
-        uniforms = rng.random(out=ws.get("scratch.uniform", part.shape, np.float64))
-        np.greater_equal(uniforms, rate, out=part)
+    _draw_kept(scale.reshape(-1), rate, rng, ws)
     scale /= 1.0 - rate
     return np.multiply(x, scale, out=out), scale
+
+
+def _draw_kept(flat, rate, rng, ws):
+    """``uniforms >= rate`` into the 1-D ``flat``, drawn :data:`UNIFORM_CHUNK`
+    at a time into one reused float64 buffer: the stream of one draw of
+    ``flat.shape``."""
+    chunk = ws.get("scratch.uniform", (UNIFORM_CHUNK,), np.float64)
+    for a in range(0, flat.size, UNIFORM_CHUNK):
+        part = flat[a : a + UNIFORM_CHUNK]
+        np.greater_equal(rng.random(out=chunk[: part.size]), rate, out=part)
+
+
+def _attention_dropout_scale(shape, rate, rng, padded, ws, key, dtype):
+    """The dropout scale of (J, ..., m, m) attention weights on a compact
+    grid. The uniforms are drawn for the whole padded (J, ..., L, L) grid,
+    as :func:`dropout_forward` draws them, and each compact weight keeps the
+    draw of its padded slot, so the stream and the scale of a valid weight
+    do not depend on m."""
+    heads, m, width = shape[0], shape[-1], padded.width
+    seqs = prod(shape[1:-2])
+    draws = seqs * width * width  # one head's padded grid
+    kept = ws.get("scratch.kept", (heads * draws,), bool)
+    _draw_kept(kept, rate, rng, ws)
+    cols = padded.cols.reshape(seqs, m)
+    # the flat offset of compact slot (s, a, b) in one head's (S, L, L) draws
+    rows = (np.arange(seqs)[:, None] * width + cols) * width
+    at = np.add(rows[:, :, None], cols[:, None, :], out=ws.get("scratch.drop_at", (seqs, m, m), np.intp, draws))
+    keep = ws.get("scratch.keep", (seqs, m, m), bool, draws)
+    scale = ws.get(f"{key}.drop_scale", shape, dtype, heads * draws)
+    kept_value = dtype.type(1.0) / dtype.type(1.0 - rate)  # as dropout_forward's scale /= 1 - rate
+    for j, head in enumerate(scale.reshape(heads, seqs, m, m)):
+        np.take(kept[j * draws : (j + 1) * draws], at, out=keep)
+        np.multiply(keep, kept_value, out=head)
+    return scale
 
 
 def dropout_backward(grad, scale):
@@ -315,55 +388,67 @@ def _stacked_heads(wq, wk, wv):
 
 
 def multi_head_attention(
-    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa", out=None
+    x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa", out=None,
+    padded=None,
 ):
     """Masked multi-head self-attention over one or a batch of windows.
 
-    ``x`` is the (..., L, h) grid with zero PAD slots and ``wq``/``wk``/``wv``
+    ``x`` is the (..., m, h) grid with zero PAD slots and ``wq``/``wk``/``wv``
     are (J, h, d_k). Per head j the context is ``softmax(x Wq_j (x Wk_j)^T /
     sqrt(d_k)) x Wv_j`` with PAD keys masked out; the heads' contexts are
     concatenated along the feature axis and mixed by ``wo``.
 
     Rows and grid: q, k and v, the scores, the softmax, its dropout and the
-    context run on the (J, ..., L, ·) grid. The contexts of the R valid
+    context run on the (J, ..., m, ·) grid. The contexts of the R valid
     slots are gathered, in the C order of ``mask``, and projected by ``wo``
     into ``out`` (or the workspace), so the output is (R, h) rows: a PAD
     query slot has none. A PAD slot of ``x`` reaches only PAD query rows and
     masked keys, whose weights and gradients are exact zeros, so while the
     scores stay finite its value changes no output row and no gradient.
 
-    Returns (rows, cache). The cache keeps ``x`` and ``weights`` (wq, wk, wv,
-    wo); its head arrays are head-first: ``q``/``k``/``v`` (J, ..., L, d_k)
-    and ``attn`` (the softmax weights, before dropout) and ``dropped``
-    (J, ..., L, L), which is ``attn`` itself when dropout is inactive.
-    ``concat`` holds the (R, J d_k) context rows.
+    ``padded`` (a :class:`PaddedColumns`) places the grid's slots in a padded
+    (..., L, L) grid, as :func:`compact_grid` does; None means the grid is
+    its own padded grid. Dropout draws one uniform per weight of the padded
+    (J, ..., L, L) grid and scales each weight by the draw of its padded
+    slot, and the grid arrays' storage is sized for the padded grid.
+
+    Returns (rows, cache). The cache keeps ``x``, ``mask``, ``padded`` and
+    ``weights`` (wq, wk, wv, wo); its head arrays are head-first:
+    ``q``/``k``/``v`` (J, ..., m, d_k) and ``attn`` (the softmax weights,
+    before dropout) and ``dropped`` (J, ..., m, m), which is ``attn`` itself
+    when dropout is inactive. ``concat`` holds the (R, J d_k) context rows.
     """
     ws = _workspace(ws)
-    buf = lambda role, shape: ws.get(f"{key}.{role}", shape, x.dtype)
+    m = x.shape[-2]
+    if padded is None:
+        padded = PaddedColumns(np.broadcast_to(np.arange(m), mask.shape), m)
     heads, d_head = wq.shape[0], wq.shape[-1]
     head_shape = (heads,) + x.shape[:-1] + (d_head,)
+    score_shape = head_shape[:-1] + (m,)
+
+    def grid(name, shape, square=False):
+        return ws.get(name, shape, x.dtype, _padded_size(shape, padded.width, square))
+
     index = np.flatnonzero(mask)
     scale = 1.0 / sqrt(d_head)
-    q = np.matmul(x, _head_view(wq, x), out=buf("q", head_shape))
-    k = np.matmul(x, _head_view(wk, x), out=buf("k", head_shape))
-    v = np.matmul(x, _head_view(wv, x), out=buf("v", head_shape))
-    attn = np.matmul(q, np.swapaxes(k, -1, -2), out=buf("attn", head_shape[:-1] + head_shape[-2:-1]))
+    q = np.matmul(x, _head_view(wq, x), out=grid(f"{key}.q", head_shape))
+    k = np.matmul(x, _head_view(wk, x), out=grid(f"{key}.k", head_shape))
+    v = np.matmul(x, _head_view(wv, x), out=grid(f"{key}.v", head_shape))
+    attn = np.matmul(q, np.swapaxes(k, -1, -2), out=grid(f"{key}.attn", score_shape, square=True))
     attn *= scale
     masked_softmax(attn, mask, out=attn)
-    # inactive dropout returns attn itself and writes nothing
-    drops = training and dropout_rate != 0.0
-    dropped, drop_scale = dropout_forward(
-        attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale",
-        out=buf("dropped", attn.shape) if drops else None,
-    )
-    context = np.matmul(dropped, v, out=ws.get(_GRID, head_shape, x.dtype))
-    concat = buf("concat", (len(index), heads * d_head))
+    dropped, drop_scale = attn, None
+    if training and dropout_rate != 0.0:
+        drop_scale = _attention_dropout_scale(score_shape, dropout_rate, rng, padded, ws, key, x.dtype)
+        dropped = np.multiply(attn, drop_scale, out=grid(f"{key}.dropped", score_shape, square=True))
+    context = np.matmul(dropped, v, out=grid(_GRID, head_shape))
+    concat = ws.get(f"{key}.concat", (len(index), heads * d_head), x.dtype)
     _heads_to_rows(context, index, concat.reshape(len(index), heads, d_head), ws)
     if out is None:
         out = ws.get("scratch.msa", (len(index),) + wo.shape[1:], x.dtype)
     y, _ = linear_forward(concat, wo, bo, out=out)
     cache = {
-        "x": x, "mask": mask, "index": index, "q": q, "k": k, "v": v, "attn": attn,
+        "x": x, "mask": mask, "padded": padded, "index": index, "q": q, "k": k, "v": v, "attn": attn,
         "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
         "weights": (wq, wk, wv, wo), "scale": scale, "ws": ws,
     }
@@ -384,25 +469,29 @@ def multi_head_attention_backward(grad, cache):
     wq, wk, wv, wo = cache["weights"]
     w_qkv = _stacked_heads(wq, wk, wv)
     ws = cache["ws"]
-    buf = lambda role, shape: ws.get(f"grad.msa.{role}", shape, x.dtype)
     heads, d_head = wq.shape[0], wq.shape[-1]
 
-    dconcat, dwo, dbo = linear_backward(grad, cache["concat"], wo, out=buf("dconcat", cache["concat"].shape))
-    dout = _rows_to_heads(dconcat, index, ws.get(_GRID, q.shape, x.dtype))
-    ddropped = np.matmul(dout, np.swapaxes(v, -1, -2), out=buf("ddropped", attn.shape))
-    dv = np.matmul(np.swapaxes(dropped, -1, -2), dout, out=buf("dv", v.shape))
+    def grid(name, shape, square=False):
+        return ws.get(name, shape, x.dtype, _padded_size(shape, cache["padded"].width, square))
+
+    dconcat, dwo, dbo = linear_backward(
+        grad, cache["concat"], wo, out=ws.get("grad.msa.dconcat", cache["concat"].shape, x.dtype)
+    )
+    dout = _rows_to_heads(dconcat, index, grid(_GRID, q.shape))
+    ddropped = np.matmul(dout, np.swapaxes(v, -1, -2), out=grid("grad.msa.ddropped", attn.shape, square=True))
+    dv = np.matmul(np.swapaxes(dropped, -1, -2), dout, out=grid("grad.msa.dv", v.shape))
     dattn = dropout_backward(ddropped, cache["drop_scale"])
-    dscores = masked_softmax_backward(dattn, attn, ws=ws)
+    dscores = masked_softmax_backward(dattn, attn, scratch=grid("scratch.softmax", attn.shape, square=True))
     dscores *= cache["scale"]
-    dq = np.matmul(dscores, k, out=buf("dq", q.shape))
-    dk_ = np.matmul(np.swapaxes(dscores, -1, -2), q, out=buf("dk", k.shape))
+    dq = np.matmul(dscores, k, out=grid("grad.msa.dq", q.shape))
+    dk_ = np.matmul(np.swapaxes(dscores, -1, -2), q, out=grid("grad.msa.dk", k.shape))
     drows = ws.get(_WIDE, (len(index), w_qkv.shape[1]), x.dtype)
-    for grid, cols in zip((dq, dk_, dv), np.moveaxis(drows.reshape(len(index), 3, heads, d_head), 1, 0)):
-        _heads_to_rows(grid, index, cols, ws)
+    for heads_grid, cols in zip((dq, dk_, dv), np.moveaxis(drows.reshape(len(index), 3, heads, d_head), 1, 0)):
+        _heads_to_rows(heads_grid, index, cols, ws)
     rows = _gather_rows(x, index, ws.get(_ROWS, (len(index), x.shape[-1]), x.dtype))
     dw = rows.T @ drows
     dwq, dwk, dwv = (np.moveaxis(d.reshape(len(d), heads, d_head), 1, 0) for d in np.split(dw, 3, axis=1))
-    dx = np.matmul(drows, w_qkv.T, out=buf("dx", rows.shape))
+    dx = np.matmul(drows, w_qkv.T, out=ws.get("grad.msa.dx", rows.shape, x.dtype))
     return dx, {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo, "bo": dbo}
 
 
@@ -466,25 +555,28 @@ def _gather_rows(grid, index, out):
 
 
 def transformer_layer_forward(
-    x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer", out=None
+    x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer", out=None, padded=None
 ):
     """One pre-output block on packed rows: LN(x + MSA(x)) then LN(.. + FFN(..)).
 
-    ``x`` (R, h) holds the valid slots of ``mask`` (..., L) in C order. The
-    layer scatters them into a zero-PAD (..., L, h) grid, which the
-    attention takes and its cache keeps; the attention returns its output
-    rows into the LN1 buffer, and everything else runs on the R rows.
+    ``x`` (R, h) holds the valid slots of ``mask`` (..., m) in C order. The
+    layer scatters them into a zero-PAD (..., m, h) grid, which the
+    attention takes (with ``padded``, see :func:`multi_head_attention`) and
+    its cache keeps; the attention returns its output rows into the LN1
+    buffer, and everything else runs on the R rows.
     ``layer`` is a mapping with keys wq, wk, wv, wo, bo, ln1_g, ln1_b,
     ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b. The residual sums are
     written over buffers that no cache keeps, and the output to ``out``
     (which may be ``x``) or to the workspace.
     """
     ws = _workspace(ws)
-    grid = _scatter_rows(x, np.flatnonzero(mask), ws.get(f"{key}.msa.x", mask.shape + x.shape[-1:], x.dtype))
+    shape = mask.shape + x.shape[-1:]
+    width = shape[-2] if padded is None else padded.width
+    grid = ws.get(f"{key}.msa.x", shape, x.dtype, _padded_size(shape, width))
     r1, msa_cache = multi_head_attention(
-        grid, mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"], layer["bo"],
-        dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
-        out=ws.get(f"{key}.ln1.y", x.shape, x.dtype),
+        _scatter_rows(x, np.flatnonzero(mask), grid), mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"],
+        layer["bo"], dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
+        out=ws.get(f"{key}.ln1.y", x.shape, x.dtype), padded=padded,
     )
     x1, ln1_cache = layer_norm_forward(
         np.add(r1, x, out=r1), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1", out=r1

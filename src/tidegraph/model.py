@@ -40,9 +40,15 @@ input projection, every transformer layer's LayerNorms, residual sums and
 FFN, the attention's output projection, and the readout work on (R, ·)
 rows, and so do their gradients and the attention's q, k and v weight and
 input gradients; PAD slots have no row. The padded arrays are the
-:class:`PairBatch` encoder outputs and mask, the (S, L) sequence mask, and
-each layer's attention input, q, k and v, scores, weights and context on
-the (S, L) grid of :func:`to_sequences` (see :mod:`.attention`).
+:class:`PairBatch` encoder outputs and mask and the (S, L) sequence mask of
+:func:`to_sequences`, which the readout takes. Each layer's attention
+input, q, k and v, scores, weights and context lie on the compact grid of
+:func:`~.attention.compact_grid`, built once per forward: (S, m), m the
+most valid slots of any sequence, each sequence's valid slots right-aligned
+in their order, so the rows keep their order. For layouts il and sl that is
+the last m columns of the left-padded windows; for ml it also closes the
+PAD gap between a pair's two windows. The attention's dropout still draws
+its uniforms for the padded (S, L, L) grid (see :mod:`.attention`).
 """
 
 from __future__ import annotations
@@ -428,6 +434,8 @@ def forward_batch(
     ws.row_capacity = batch.mask.size
     tokens, asm_cache = _assemble_tokens(params, cfg, batch)
     mask = to_sequences(batch.mask, cfg)
+    # the attention's compact grid: the same rows in the same order
+    grid_mask, padded = nn.compact_grid(mask)
 
     w_in = params.values["input.w"]
     out = ws.get("rows", (len(tokens),) + w_in.shape[1:], params.dtype)
@@ -436,8 +444,8 @@ def forward_batch(
     for l in range(cfg.layers):
         # every layer writes its output rows over its input rows
         x, cache_l = nn.transformer_layer_forward(
-            x, mask, params.layer_view(l), dropout_rate=cfg.dropout, rng=rng, training=training,
-            ws=ws, key="layers.0" if ws.shared_layers else f"layers.{l}", out=x,
+            x, grid_mask, params.layer_view(l), dropout_rate=cfg.dropout, rng=rng, training=training,
+            ws=ws, key="layers.0" if ws.shared_layers else f"layers.{l}", out=x, padded=padded,
         )
         layer_caches.append(cache_l)
 
@@ -532,8 +540,15 @@ def predict_probs(params, cfg, batch) -> np.ndarray:
 
 def attention_weights(cache, layer: int = -1) -> np.ndarray:
     """Softmax attention weights (J, S, L, L) of one layer, head axis first,
-    over the S transformer sequences of :func:`to_sequences`."""
-    return cache["layers"][layer]["msa"]["attn"]
+    over the S transformer sequences of :func:`to_sequences`: the weights of
+    the layer's compact grid put back at their slots' columns, with zeros on
+    PAD query rows and key columns. A fresh array."""
+    msa = cache["layers"][layer]["msa"]
+    attn, (cols, width) = msa["attn"], msa["padded"]
+    out = np.zeros(attn.shape[:-2] + (width, width), attn.dtype)
+    seqs = np.arange(len(cols))[:, None, None]
+    out[:, seqs, cols[:, :, None], cols[:, None, :]] = attn * msa["mask"][..., None]
+    return out
 
 
 def grad_check(

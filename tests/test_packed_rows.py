@@ -1,11 +1,17 @@
 """Packed rows: the row-wise layers run on the valid slots of a batch only.
 
 The token matrix, the input projection, every LayerNorm, residual sum and
-FFN, and the readout hold one row per valid slot (R = ``mask.sum()``); only
-the attention sees the padded grid. So a PAD slot costs no row and no
-dropout draw, and a batch whose windows are all PAD (R = 0) still runs, its
-pairs scored from zero embeddings.
+FFN, and the readout hold one row per valid slot (R = ``mask.sum()``). Only
+the attention sees a grid, and a compact one: each sequence's valid slots
+right-aligned in as many columns as the batch's longest sequence has. So a
+PAD slot costs no row and no FFN dropout draw, and a batch whose windows are
+all PAD (R = 0, a grid of width 0) still runs, its pairs scored from zero
+embeddings. The compact grid gives the probabilities and gradients of the
+padded (S, L) grid, which the tests keep as a reference, and the attention
+still draws its dropout uniforms for the padded grid.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,13 +22,15 @@ from tidegraph.harness import build_scoring_batch, sample_pair_windows
 from tidegraph.model import (
     ModelConfig,
     ModelParameters,
+    attention_weights,
     featurize_pairs,
     forward_batch,
+    grad_check,
     loss_and_grads,
     predict_probs,
     to_sequences,
 )
-from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
+from tidegraph.sampling import PAD_ID, NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
 
 STORE = generate_cycle_corpus(num_sources=5, num_targets=15, num_events=150, seed=0, d_e=2)[0]
@@ -45,15 +53,138 @@ def _all_pad_batch(cfg):
     return batch, np.array([1.0, 0.0, 1.0])
 
 
+def _events_batch(cfg, events):
+    """A scoring batch of the positives ``events`` plus one negative each."""
+    pos = [(int(STORE.src[i]), int(STORE.tgt[i]), float(STORE.timestamps[i])) for i in events]
+    neg, _ = NegativeSampler(STORE, NegativeSamplingStrategy("random", seed=1)).sample(pos)
+    return build_scoring_batch(NeighborSampler(STORE), STORE, cfg, pos, neg, np.random.default_rng(0))
+
+
 def _mixed_batch(cfg):
     """Positives from cold-start and late events, one negative each: some
     windows all PAD, some partly, some full."""
-    events = [0, 1, 60, 147, 148, 149]
-    pos = [(int(STORE.src[i]), int(STORE.tgt[i]), float(STORE.timestamps[i])) for i in events]
-    neg, _ = NegativeSampler(STORE, NegativeSamplingStrategy("random", seed=1)).sample(pos)
-    batch, labels = build_scoring_batch(NeighborSampler(STORE), STORE, cfg, pos, neg, np.random.default_rng(0))
+    batch, labels = _events_batch(cfg, [0, 1, 60, 147, 148, 149])
     assert 0 < batch.mask.sum() < batch.mask.size
     return batch, labels
+
+
+def _gap_batch(cfg):
+    """The mixed batch with one more PAD slot in the middle of every window
+    that has two valid slots or more, as a sampler never writes them."""
+    batch, labels = _mixed_batch(cfg)
+    mask = batch.mask.copy()
+    for row in np.flatnonzero(mask.sum(axis=1) >= 2):
+        mask[row, np.flatnonzero(mask[row])[1]] = False
+    assert (mask[:, :-1] & ~mask[:, 1:]).any()  # a valid slot before a PAD one
+    return dataclasses.replace(batch, mask=mask, token_ids=np.where(mask, batch.token_ids, PAD_ID)), labels
+
+
+def _full_batch(cfg):
+    batch, labels = _events_batch(cfg, range(140, 146))
+    assert batch.mask.all()
+    return batch, labels
+
+
+def _off_zero(params):
+    """Every parameter moved by noise, so no bias is zero."""
+    noise = np.random.default_rng(2)
+    for value in params.values.values():
+        value += noise.normal(scale=0.1, size=value.shape).astype(value.dtype)
+
+
+def _padded_grid(mask):
+    """The reference: the padded (S, L) grid as its own attention grid."""
+    return mask, nn.PaddedColumns(np.broadcast_to(np.arange(mask.shape[-1]), mask.shape), mask.shape[-1])
+
+
+def _train_step(params, cfg, batch, labels):
+    """Probabilities, gradients and the dropout generator's state after one
+    training step with dropout, then the attention's mask and each layer's
+    weights on the window grid from an evaluation forward."""
+    rng = np.random.default_rng(5)
+    _, probs = loss_and_grads(params, cfg, batch, labels, training=True, rng=rng)
+    grads = {k: g.copy() for k, g in params.grads.items()}
+    _, cache = forward_batch(params, cfg, batch)
+    weights = [attention_weights(cache, l) for l in range(cfg.layers)]
+    return probs, grads, rng.bit_generator.state, cache["layers"][0]["msa"]["mask"], weights
+
+
+BATCHES = {"mixed": _mixed_batch, "pad gaps": _gap_batch, "all pad": _all_pad_batch, "full": _full_batch}
+# roundoff through two layers, relative to the largest entry of each compared
+# array: 64 ulps of the parameters' dtype (the worst case read 6)
+TOLERANCE = {dtype: 64 * np.finfo(dtype).eps for dtype in (np.float64, np.float32)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", list(BATCHES))
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_compact_grid_matches_padded_reference(monkeypatch, layout, kind, dtype):
+    cfg = _cfg(layout)
+    batch, labels = BATCHES[kind](cfg)
+    params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4).astype(dtype)
+    probs, grads, state, mask, weights = _train_step(params, cfg, batch, labels)
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "compact_grid", _padded_grid)
+        want_probs, want_grads, want_state, padded_mask, want_weights = _train_step(params, cfg, batch, labels)
+
+    # each sequence's valid slots right-aligned in the longest one's width
+    counts = padded_mask.sum(axis=1)
+    np.testing.assert_array_equal(padded_mask, to_sequences(batch.mask, cfg))
+    assert mask.shape == (len(counts), counts.max(initial=0))
+    np.testing.assert_array_equal(mask.sum(axis=1), counts)
+    assert not (mask[:, :-1] & ~mask[:, 1:]).any()
+    if kind == "full":
+        np.testing.assert_array_equal(mask, padded_mask)
+    if kind == "pad gaps":
+        assert mask.shape[1] < padded_mask.shape[1]
+
+    assert state == want_state  # the same dropout stream
+    tol = TOLERANCE[dtype]
+    np.testing.assert_allclose(probs, want_probs, rtol=tol, atol=0)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=tol * np.abs(g).max(), err_msg=name)
+    # the weights back on the (J, S, L, L) grid, zero on PAD query rows and keys
+    valid = padded_mask[:, :, None] & padded_mask[:, None, :]
+    for got, want in zip(weights, want_weights):
+        assert got.shape == (cfg.heads,) + valid.shape and not got[:, ~valid].any()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_attention_dropout_keeps_the_padded_draws(layout):
+    # each compact weight's dropout scale is the scale that dropout on the
+    # padded (J, S, L, L) grid gives its slot, layer after layer, with each
+    # layer's FFN drawing in between
+    cfg = _cfg(layout)
+    batch, _ = _gap_batch(cfg)
+    params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4)
+    _, cache = forward_batch(params, cfg, batch, training=True, rng=np.random.default_rng(5))
+    padded_mask = to_sequences(batch.mask, cfg)
+    rows = int(batch.mask.sum())
+    expected = np.random.default_rng(5)
+    for layer in cache["layers"]:
+        msa = layer["msa"]
+        ones = np.ones((cfg.heads,) + padded_mask.shape + padded_mask.shape[-1:], params.dtype)
+        _, want = nn.dropout_forward(ones, cfg.dropout, expected, True)
+        expected.random(rows * 4 * cfg.hidden)  # the FFN's draws
+        cols = msa["padded"].cols
+        assert msa["drop_scale"].shape[-1] == cols.shape[-1] < padded_mask.shape[-1]
+        seqs = np.arange(len(cols))[:, None, None]
+        np.testing.assert_array_equal(msa["drop_scale"], want[:, seqs, cols[:, :, None], cols[:, None, :]])
+
+
+def test_ml_gaps_pass_central_differences():
+    # float64 copy, dropout off; the stacked windows of ml put a PAD gap
+    # between the source block's valid slots and the target block's. The
+    # biases are moved off zero: a pair of all-PAD windows has zero
+    # embeddings, which put the link head's zero-initialised hidden units
+    # on the rectifier's kink, where central differences read half a slope
+    cfg = _cfg("ml")
+    batch, labels = _gap_batch(cfg)
+    params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4)
+    _off_zero(params)
+    err = grad_check(params, cfg, batch, labels, epsilon=1e-5, num_checks=300, rng=np.random.default_rng(0))
+    assert err < 1e-4
 
 
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
@@ -63,9 +194,7 @@ def test_all_pad_batch(layout):
     params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4)
     # nonzero biases, and a batch with valid slots first, so that the
     # workspace grids hold stale nonzero rows
-    noise = np.random.default_rng(2)
-    for value in params.values.values():
-        value += noise.normal(scale=0.1, size=value.shape).astype(value.dtype)
+    _off_zero(params)
     loss_and_grads(params, cfg, *_mixed_batch(cfg), training=True, rng=np.random.default_rng(1))
     v = params.values
     h = cfg.hidden

@@ -212,7 +212,7 @@ class TestMixedTokens:
         params = ModelParameters(cfg, 0, 2, seed=0)
         _, cache = forward_batch(params, cfg, batch)
         # the projection's cached input: the valid slots of the stacked
-        # (P, 2n) sequences as (R, width) token rows
+        # (P, 2n) sequences as (R, width) token rows; and the attention's mask
         return batch, cache["tokens"], cache["layers"][0]["msa"]["mask"]
 
     @staticmethod
@@ -230,8 +230,9 @@ class TestMixedTokens:
         np.testing.assert_array_equal(rows[4:7], self._window(batch, 2))
         np.testing.assert_array_equal(rows[7:10], self._window(batch, 1))
         np.testing.assert_array_equal(rows[10:], self._window(batch, 3))
-        np.testing.assert_array_equal(mask[0], np.concatenate([batch.mask[0], batch.mask[2]]))
-        np.testing.assert_array_equal(mask[1], np.concatenate([batch.mask[1], batch.mask[3]]))
+        # the attention's compact grid: each pair's 7 valid slots right-aligned,
+        # the PAD slots of both stacked windows gone
+        np.testing.assert_array_equal(mask, np.ones((2, 7), bool))
 
     def test_identical_halves(self):
         seq = _seq([5, 6, 7, 8])

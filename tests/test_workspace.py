@@ -10,7 +10,10 @@ fraction of what it did when every step allocated its own arrays.
 Evaluation (``predict_probs``, ``batch_loss``) runs in the workspace's
 inference scope, where every layer shares layer 0's buffers: the tests check
 that it scores bitwise as the per-layer forward does, that the scope ends
-even on an exception, and that it keeps one layer's buffers resident.
+even on an exception, and that it keeps one layer's buffers resident. The
+attention's compact grid is as wide as the batch's longest sequence, and its
+arrays are sized for the padded grid, so a narrow batch already allocates
+what a full-width one needs.
 """
 
 import dataclasses
@@ -19,12 +22,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tidegraph import attention as nn
 from tidegraph.config import RunConfig, fit_time_encoder
 from tidegraph.encoders import MteConfig
 from tidegraph.harness import build_scoring_batch, sample_pair_windows
 from tidegraph.errors import CheckFailure
 from tidegraph.model import (
     ModelConfig, ModelParameters, batch_loss, featurize_pairs, forward_batch, loss_and_grads, predict_probs,
+    to_sequences,
 )
 from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
@@ -94,6 +99,25 @@ def test_reuse_is_bitwise_invisible(layout, first_use):
     np.testing.assert_array_equal(probs, want_probs)
     for name, g in want_grads.items():
         np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_compact_width_replaces_no_storage(layout):
+    # early events have short windows, late ones fill them: the second step's
+    # attention grid is the padded width, the first one's much narrower
+    cfg = _cfg(layout)
+    store = _store()
+    early, late = _batch(store, cfg, range(5, 10)), _batch(store, cfg, range(140, 145))
+    widths = [nn.compact_grid(to_sequences(batch.mask, cfg))[0].shape[1] for batch, _ in (early, late)]
+    padded_width = to_sequences(late[0].mask, cfg).shape[1]
+    assert 0 < widths[0] < padded_width // 2 and widths[1] == padded_width
+
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    storage = lambda: {key: (buf.ctypes.data, buf.nbytes) for key, buf in params.workspace._store.items()}
+    _step(params, cfg, *early)
+    after_early = storage()
+    _step(params, cfg, *late)
+    assert storage() == after_early
 
 
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
