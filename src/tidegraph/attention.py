@@ -118,7 +118,8 @@ class Workspace:
     shrinks.
 
     ``row_capacity`` is the most rows a packed row matrix of the current
-    step can have: the slot count of its padded grid. Every 2-D request is
+    step can have: the slot count of its padded grid, which in a model's
+    tiled evaluation forward is the current tile's. Every 2-D request is
     such a (rows, d) matrix, whose capacity is ``row_capacity`` rows, so the
     count of valid rows, which varies from batch to batch, does not
     reallocate it. Other requests may name a capacity: the attention's
@@ -127,11 +128,12 @@ class Workspace:
     the requested ones are never touched, so they take no resident memory.
 
     ``shared_layers`` is true inside :meth:`inference`. There a model's
-    forward runs every transformer layer in the first layer's buffers, so
-    each layer's forward cache stays valid only until the next layer's
-    forward: after the pass only the last layer's is. A forward that
-    no backward follows (an evaluation) keeps one layer's buffers resident,
-    not one per layer.
+    forward runs over tiles of whole sequences and every transformer layer
+    in the first layer's buffers, so each layer's forward cache stays valid
+    only until the next layer's or tile's forward: after the pass only the
+    last tile's last layer's is. A forward that no backward follows (an
+    evaluation) keeps one layer's buffers for one tile resident, not one per
+    layer for the whole batch.
     """
 
     def __init__(self):

@@ -139,7 +139,11 @@ def encode_fine_time(delta_t, cfg: MteConfig) -> np.ndarray:
     if np.any(delta < 0):
         raise LeakageError("negative fine offset: history must precede the query time")
     x = delta[..., None] * cfg.omega
-    x -= np.rint(x / (2 * np.pi)) * (2 * np.pi)
+    # x -= rint(x / 2π) * 2π, with one temporary
+    t = np.divide(x, 2 * np.pi)
+    np.rint(t, out=t)
+    t *= 2 * np.pi
+    x -= t
     out = x.astype(np.float32)
     return np.cos(out, out=out)
 
@@ -164,11 +168,12 @@ def encode_coarse_time(delta_t, cfg: MteConfig):
 
 
 def mix_temporal(fine: np.ndarray, coarse_term: np.ndarray, combine: str = "sum") -> np.ndarray:
-    """Merge the fine and coarse terms, elementwise or by concatenation."""
+    """Merge the fine and coarse terms, elementwise or by concatenation; the
+    sum is ``(fine + coarse_term).astype(fine.dtype)``, rounded once."""
     if fine.shape != coarse_term.shape:
         raise ValueError(f"shape mismatch: fine {fine.shape} vs coarse {coarse_term.shape}")
     if combine == "sum":
-        return fine + coarse_term
+        return np.add(fine, coarse_term, out=np.empty(fine.shape, fine.dtype), casting="same_kind")
     if combine == "concat":
         return np.concatenate([fine, coarse_term], axis=-1)
     raise ConfigError(f"combine must be 'sum' or 'concat', got {combine!r}")

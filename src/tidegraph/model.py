@@ -25,10 +25,15 @@ and backward temporaries) lives in the parameters' :class:`~.attention.Workspace
 parameters, and a steady run of same-sized steps allocates no large array.
 Each transformer layer has its own buffers, except in evaluation:
 :func:`predict_probs` and :func:`batch_loss` run their forward in the
-workspace's inference scope, where every layer reuses layer 0's buffers and
-the cache keeps only the last layer's arrays valid (nothing reads it after
-the pass). An evaluation after training thus writes into buffers training
-made resident, and an evaluation-only run allocates one layer's.
+workspace's inference scope, where no backward follows and each sequence is
+scored on its own. There the forward runs over tiles of whole sequences, at
+most :data:`INFERENCE_TILE_SLOTS` padded slots each, from token assembly to
+the readout, every tile and every layer in layer 0's buffers, and the link
+head scores all pairs at once; the cache keeps only the last tile's last
+layer valid (nothing reads it after the pass). An evaluation after training
+thus writes into buffers training made resident, and an evaluation-only run
+allocates one layer's for one tile, however large the batch. Outside the
+scope the batch is one tile, so training runs the same loop once.
 The probabilities it returns, the gradients in ``params.grads`` and the
 :class:`PairBatch` arrays never share memory with the workspace.
 
@@ -43,9 +48,10 @@ input gradients; PAD slots have no row. The padded arrays are the
 :class:`PairBatch` encoder outputs and mask and the (S, L) sequence mask of
 :func:`to_sequences`, which the readout takes. Each layer's attention
 input, q, k and v, scores, weights and context lie on the compact grid of
-:func:`~.attention.compact_grid`, built once per forward: (S, m), m the
-most valid slots of any sequence, each sequence's valid slots right-aligned
-in their order, so the rows keep their order. For layouts il and sl that is
+:func:`~.attention.compact_grid`, built once per forward (per tile in
+evaluation): (S, m), m the most valid slots of any sequence, each
+sequence's valid slots right-aligned in their order, so the rows keep their
+order. For layouts il and sl that is
 the last m columns of the left-padded windows; for ml it also closes the
 PAD gap between a pair's two windows. The attention's dropout still draws
 its uniforms for the padded (S, L, L) grid (see :mod:`.attention`).
@@ -86,6 +92,9 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 # The transformer's compute dtype; ModelParameters.astype gives a copy in another.
 COMPUTE_DTYPE = np.float32
+# The most padded slots of one tile of an evaluation forward (see forward_batch):
+# 2,048 slots keep a tile's workspace near 10 MiB at the default sizes.
+INFERENCE_TILE_SLOTS = 2048
 # K in grad_check's roundoff allowance K * eps_mach * |L| / epsilon.
 ROUNDOFF_FACTOR = 4.0
 # The parameters of the season and trend blocks' linear lifts: weight and bias under "ste.".
@@ -344,23 +353,34 @@ def featurize_pairs(
     )
 
 
-def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch):
+def _slot_order(batch: PairBatch, cfg: ModelConfig) -> np.ndarray:
+    """The (S, L) transformer sequences of :func:`to_sequences` as the flat
+    index of each slot in the (2P, n) window grid."""
+    return to_sequences(np.arange(batch.mask.size).reshape(batch.mask.shape), cfg)
+
+
+def _assemble_tokens(params: ModelParameters, cfg: ModelConfig, batch: PairBatch, slots: np.ndarray | None = None):
     """Token rows (R, width) in the compute dtype, in the workspace: one row
-    per valid slot, in :func:`to_sequences` order, with the columns of
-    ``cfg.token_blocks``. ``h`` and the time block are gathered and cast into
-    theirs (another width raises :class:`CheckFailure`); the count lift and the
-    season and trend embeddings run on the gathered rows, whose cast inputs
-    the cache keeps by block name for the backward pass, and write into theirs."""
+    per window slot of ``slots`` (flat indices into the (2P, n) grid; by
+    default every valid slot, in :func:`to_sequences` order), with the
+    columns of ``cfg.token_blocks``. ``h`` and the time block are gathered
+    and cast into theirs (another width raises :class:`CheckFailure`); the
+    count lift and the season and trend embeddings run on the gathered rows,
+    whose cast inputs the cache keeps by block name for the backward pass,
+    and write into theirs."""
     ws = params.workspace
     v = params.values
-    slots = to_sequences(np.arange(batch.mask.size).reshape(batch.mask.shape), cfg)[to_sequences(batch.mask, cfg)]
-    in_order = np.array_equal(slots, np.arange(batch.mask.size))  # every slot valid, windows in order
+    if slots is None:
+        slots = _slot_order(batch, cfg)[to_sequences(batch.mask, cfg)]
+    # consecutive slots (every slot valid, windows in order) are a slice
+    first = int(slots[0]) if len(slots) else 0
+    run = slice(first, first + len(slots)) if np.array_equal(slots, np.arange(first, first + len(slots))) else None
 
     def gather(a, out):
         if a.shape[:-1] != batch.mask.shape:
             raise ValueError(f"encoder block of shape {a.shape} does not match windows {batch.mask.shape}")
         a = a.reshape(batch.mask.size, a.shape[-1])
-        out[...] = a if in_order else a[slots]
+        out[...] = a[slots] if run is None else a[run]
         return out
 
     def rows(key, width):
@@ -424,16 +444,46 @@ def forward_batch(
     ``tokens`` are the (R, width) token rows and ``final_rows`` the (R, h)
     output rows of the last layer.
 
-    Inside ``params.workspace.inference()`` every layer runs in layer 0's
-    buffers (key ``layers.0``), so of ``cache["layers"]`` only the last
-    entry is valid and the cache cannot take a backward pass; the
-    probabilities are bitwise the same. Outside it every layer's cache is.
+    Inside ``params.workspace.inference()`` the sequences of
+    :func:`to_sequences` run, in order, in tiles of whole sequences of at
+    most :data:`INFERENCE_TILE_SLOTS` padded slots (at least one sequence),
+    from token assembly to the readout; the link head then scores every
+    pair at once. Every tile and every layer runs in the same buffers (key
+    ``layers.0``), so the cache holds only the last tile's arrays, of
+    which only the last entry of ``cache["layers"]`` is valid, and it cannot
+    take a backward pass. Outside it the batch is one tile and every layer's
+    cache is valid.
     """
-    p, n = batch.num_pairs, batch.mask.shape[1]
+    p = batch.num_pairs
     ws = params.workspace
-    ws.row_capacity = batch.mask.size
-    tokens, asm_cache = _assemble_tokens(params, cfg, batch)
     mask = to_sequences(batch.mask, cfg)
+    order = _slot_order(batch, cfg)
+    per_tile = max(1, INFERENCE_TILE_SLOTS // mask.shape[1] if ws.shared_layers else len(mask))
+    embs = []
+    for a in range(0, len(mask), per_tile):
+        tile = mask[a : a + per_tile]
+        emb, cache = _forward_tile(params, cfg, batch, order[a : a + per_tile][tile], tile, training, rng)
+        embs.append(emb)
+
+    emb = to_window_rows(np.concatenate(embs), cfg).reshape(2 * p, -1)
+    pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
+    # the link head's (P, ·) pair rows are small and allocate their own arrays,
+    # so every 2-D workspace array is a slot-row matrix (see Workspace)
+    logit2d, cache["link"] = nn.ffn_forward(
+        pair_emb, params.values["link.w1"], params.values["link.b1"],
+        params.values["link.w2"], params.values["link.b2"],
+    )
+    probs = nn.sigmoid(logit2d[:, 0])
+    return probs, cache
+
+
+def _forward_tile(params, cfg, batch, slots, mask, training, rng):
+    """The forward of the sequences ``mask`` (S, L), whose valid slots are
+    the window slots ``slots``, up to the readout, in the workspace sized for
+    them: the (S, L / n, h) window embeddings, a fresh array, and the cache."""
+    ws = params.workspace
+    ws.row_capacity = mask.size
+    tokens, asm_cache = _assemble_tokens(params, cfg, batch, slots)
     # the attention's compact grid: the same rows in the same order
     grid_mask, padded = nn.compact_grid(mask)
 
@@ -450,24 +500,10 @@ def forward_batch(
         layer_caches.append(cache_l)
 
     # each window's mean: the sequence mask viewed as (S, L / n) windows of
-    # n slots gives (S, L / n, h) embeddings, put back in window order
-    emb, readout_cache = nn.readout_forward(x, mask.reshape(len(mask), -1, n), ws=ws)
-    emb = to_window_rows(emb, cfg).reshape(2 * p, -1)
-    pair_emb = np.concatenate([emb[:p], emb[p:]], axis=-1)
-    # the link head's (P, ·) pair rows are small and allocate their own arrays,
-    # so every 2-D workspace array is a slot-row matrix (see Workspace)
-    logit2d, link_cache = nn.ffn_forward(
-        pair_emb, params.values["link.w1"], params.values["link.b1"],
-        params.values["link.w2"], params.values["link.b2"],
-    )
-    logits = logit2d[:, 0]
-    probs = nn.sigmoid(logits)
-    cache = {
-        "asm": asm_cache, "tokens": tokens,
-        "layers": layer_caches, "readout": readout_cache, "link": link_cache,
-        "final_rows": x,
-    }
-    return probs, cache
+    # n slots gives (S, L / n, h) embeddings
+    emb, readout_cache = nn.readout_forward(x, mask.reshape(len(mask), -1, batch.mask.shape[1]), ws=ws)
+    cache = {"asm": asm_cache, "tokens": tokens, "layers": layer_caches, "readout": readout_cache, "final_rows": x}
+    return emb, cache
 
 
 def backward_batch(params: ModelParameters, cfg: ModelConfig, cache, dlogits: np.ndarray) -> None:

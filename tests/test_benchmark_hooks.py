@@ -26,7 +26,7 @@ from perfbench.workloads import WORKLOADS
 import tidegraph.model
 from tidegraph import harness
 from tidegraph.encoders import ReconstructedSequence
-from tidegraph.model import ModelConfig, ModelParameters, save_checkpoint
+from tidegraph.model import INFERENCE_TILE_SLOTS, ModelConfig, ModelParameters, save_checkpoint
 from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_hotnode_corpus
 
@@ -55,23 +55,36 @@ def test_benchmark_hook_points_resolve():
     assert missing == [], "benchmark hook points no longer resolve: " + ", ".join(missing)
 
 
-# Each workload on a corpus small enough for tier-1. The AP floors in the
-# benchmark's README are derived for the full corpora, so they are off here.
-TINY_CORPORA = {
-    "cycle-train": CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4),
-    "cycle-train-ml": CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4),
-    "hotnode-eval": CorpusSpec("hotnode", num_sources=6, num_targets=13, num_events=160, d_e=0),
+# Each workload on a corpus small enough for tier-1, as (workload, corpus,
+# batch size). The AP floors in the benchmark's README are derived for the
+# full corpora, so they are off here. The tiled case's first evaluation batch
+# is 40 positives and their negatives, 3,200 slots, so the evaluation forward
+# runs in two tiles (102 windows and 58), and the reference forward's checked
+# pairs 40-42 have their source window in the first and their target window
+# in the second.
+TINY_ROUNDS = {
+    "cycle-train": ("cycle-train", CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4), 20),
+    "cycle-train-ml": ("cycle-train-ml", CorpusSpec("cycle", num_sources=6, num_targets=18, num_events=90, d_e=4), 20),
+    "hotnode-eval": ("hotnode-eval", CorpusSpec("hotnode", num_sources=6, num_targets=13, num_events=160, d_e=0), 20),
+    "hotnode-eval-tiles": (
+        "hotnode-eval", CorpusSpec("hotnode", num_sources=6, num_targets=13, num_events=300, d_e=0), 40
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TINY_CORPORA))
+@pytest.mark.parametrize("name", sorted(TINY_ROUNDS))
 def test_checked_round_passes(name, tmp_path):
     """One round as ``perfbench/run.py`` checks it, then one traced round."""
     seed = 1
-    w = replace(WORKLOADS[name], corpus=TINY_CORPORA[name], batch_size=20, ap_floor=0.0)
+    workload, spec, batch_size = TINY_ROUNDS[name]
+    w = replace(WORKLOADS[workload], corpus=spec, batch_size=batch_size, ap_floor=0.0)
     c = corpus.generate(w.corpus, seed)
     csv_path = corpus.write(c, tmp_path / "events.csv")
     cfg = model_config(w, c)
+    if name.endswith("-tiles"):
+        test = w.split()[2]
+        assert test[1] - test[0] >= batch_size  # a whole first batch
+        assert 4 * batch_size * cfg.n_neighbors > INFERENCE_TILE_SLOTS  # 2P il windows of n slots
     ckpt = None
     if w.mode == "eval":
         ckpt = tmp_path / "checkpoint.npz"

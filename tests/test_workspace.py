@@ -10,14 +10,20 @@ fraction of what it did when every step allocated its own arrays.
 Evaluation (``predict_probs``, ``batch_loss``) runs in the workspace's
 inference scope, where every layer shares layer 0's buffers: the tests check
 that it scores bitwise as the per-layer forward does, that the scope ends
-even on an exception, and that it keeps one layer's buffers resident. The
-attention's compact grid is as wide as the batch's longest sequence, and its
-arrays are sized for the padded grid, so a narrow batch already allocates
-what a full-width one needs.
+even on an exception, and that it keeps one layer's buffers resident. In the
+scope the forward also runs over tiles of whole sequences, at most
+``INFERENCE_TILE_SLOTS`` padded slots each: the tests check that the tiles
+score as the one-tile forward does, whatever the layout, the PAD pattern and
+the tile size, and that an evaluation-only workspace is sized by the tile,
+not the batch. The attention's compact grid is as wide as the batch's
+longest sequence, and its arrays are sized for the padded grid, so a narrow
+batch already allocates what a full-width one needs.
 """
 
 import dataclasses
 import tracemalloc
+
+import tidegraph.model
 
 import numpy as np
 import pytest
@@ -28,8 +34,8 @@ from tidegraph.encoders import MteConfig
 from tidegraph.harness import build_scoring_batch, sample_pair_windows
 from tidegraph.errors import CheckFailure
 from tidegraph.model import (
-    ModelConfig, ModelParameters, batch_loss, featurize_pairs, forward_batch, loss_and_grads, predict_probs,
-    to_sequences,
+    INFERENCE_TILE_SLOTS, ModelConfig, ModelParameters, batch_loss, featurize_pairs, forward_batch, loss_and_grads,
+    predict_probs, to_sequences,
 )
 from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy, NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
@@ -41,6 +47,11 @@ MIB = 2**20
 # workspace, which is resident for the whole run, under the old peak.
 ALLOCATING_PEAK = 64.6 * MIB
 BUDGET = 8 * MIB
+# A tile's row GEMMs may round differently from the whole batch's at some
+# row counts, so tiled and one-tile probabilities may differ by roundoff: at
+# most 64 float32 ulps relative to the largest probability, and the loss by
+# as much relative to itself.
+TILE_TOLERANCE = 64 * np.finfo(np.float32).eps
 
 
 def _cfg(layout, **kw):
@@ -234,3 +245,107 @@ def test_warm_evaluation_allocation_budget():
     # an evaluation after training writes into buffers training made resident
     predict_probs(trained, cfg, batch)
     assert trained.workspace.nbytes == training
+
+
+def _tiles_of(monkeypatch, call):
+    """``call()`` and the sequence count of each attention grid it built,
+    one per tile of a forward."""
+    tiles, compact_grid = [], nn.compact_grid
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "compact_grid", lambda mask: tiles.append(len(mask)) or compact_grid(mask))
+        return call(), tiles
+
+
+def _assert_tiled_scores_as_one_tile(monkeypatch, params, cfg, batch, labels):
+    """Evaluation scores as the one-tile forward; returns the tiles' sequence counts."""
+    (probs, loss), tiles = _tiles_of(
+        monkeypatch, lambda: (predict_probs(params, cfg, batch), batch_loss(params, cfg, batch, labels))
+    )
+    want = forward_batch(params, cfg, batch, training=False)[0]
+    want_loss = float(nn.bce_loss(want, labels).mean())
+    np.testing.assert_allclose(probs, want, rtol=0, atol=TILE_TOLERANCE * np.abs(want).max())
+    assert abs(loss - want_loss) <= TILE_TOLERANCE * abs(want_loss)
+    # predict_probs then batch_loss, each over the same consecutive tiles of
+    # whole sequences, at most INFERENCE_TILE_SLOTS slots unless one sequence
+    sequences = to_sequences(batch.mask, cfg)
+    half = tiles[: len(tiles) // 2]
+    assert tiles == half + half and sum(half) == len(sequences)
+    per_tile = max(1, tidegraph.model.INFERENCE_TILE_SLOTS // sequences.shape[1])
+    assert half == [min(per_tile, len(sequences) - a) for a in range(0, len(sequences), per_tile)]
+    return half
+
+
+def _one_pair_batch(cfg):
+    store = _store()
+    seq_pairs, index = sample_pair_windows(NeighborSampler(store), [(1, 9, float(store.timestamps[120]))], cfg)
+    return featurize_pairs(seq_pairs, index, store, cfg), np.ones(1)
+
+
+def _all_pad_batch(cfg):
+    # every pair is queried before the first event, so no window has a slot
+    store = _store()
+    seq_pairs, index = sample_pair_windows(NeighborSampler(store), [(0, 6, 0.5), (1, 7, 0.5), (2, 8, 0.25)], cfg)
+    batch = featurize_pairs(seq_pairs, index, store, cfg)
+    assert not batch.mask.any()
+    return batch, np.array([1.0, 0.0, 1.0])
+
+
+TILE_BATCHES = {
+    # cold-start and late positives: windows all PAD, partly PAD and full
+    "pad heavy": lambda cfg: _batch(_store(), cfg, [0, 1, 2, 60, 61, 147, 148, 149]),
+    "all pad": _all_pad_batch,
+    "one pair": _one_pair_batch,
+}
+
+
+@pytest.mark.parametrize("tile_slots", [3, 12])
+@pytest.mark.parametrize("kind", list(TILE_BATCHES))
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_tiles_score_as_one_tile(monkeypatch, layout, kind, tile_slots):
+    # windows of 5 slots: a tile of 3 slots is narrower than any sequence
+    # (one sequence a tile), one of 12 holds one or two
+    cfg = _cfg(layout)
+    batch, labels = TILE_BATCHES[kind](cfg)
+    assert batch.mask.any() == (kind != "all pad") and (batch.num_pairs == 1) == (kind == "one pair")
+    monkeypatch.setattr(tidegraph.model, "INFERENCE_TILE_SLOTS", tile_slots)
+    store = _store()
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    tiles = _assert_tiled_scores_as_one_tile(monkeypatch, params, cfg, batch, labels)
+    # one pair is one ml sequence, or two il or sl ones, which a 12-slot tile holds
+    assert len(tiles) >= 2 or (kind == "one pair" and (layout == "ml" or tile_slots == 12))
+    if layout == "il" and kind == "pad heavy":
+        # pair i's windows are sequences i and P + i, here in different tiles
+        ends = np.cumsum(tiles)
+        p = batch.num_pairs
+        assert any(np.searchsorted(ends, i, "right") != np.searchsorted(ends, p + i, "right") for i in range(p))
+
+
+@pytest.mark.parametrize("layout", ["il", "sl", "ml"])
+def test_tiles_of_the_default_size_score_as_one_tile(monkeypatch, layout):
+    # 60 positives and their negatives at n = 20: 4,800 slots, three tiles
+    cfg = _cfg(layout, n_neighbors=20)
+    store = _store()
+    batch, labels = _batch(store, cfg, range(30, 90))
+    assert batch.mask.size > 2 * INFERENCE_TILE_SLOTS and 0 < batch.mask.sum() < batch.mask.size
+    params = ModelParameters(cfg, store.d_n, store.d_e, seed=2)
+    assert len(_assert_tiled_scores_as_one_tile(monkeypatch, params, cfg, batch, labels)) == 3
+
+
+@pytest.mark.parametrize("layout", ["il", "ml"])
+def test_evaluation_workspace_is_sized_by_the_tile(layout):
+    """An evaluation-only workspace holds the same bytes for 100 pairs and
+    for 400 (at n = 20, two tiles and eight), less than one tile of the
+    whole batch would."""
+    store, manifest = generate_cycle_corpus(num_sources=20, num_targets=60, num_events=500, seed=1, d_e=16)
+    cfg = fit_time_encoder(RunConfig(), store.duration_seconds, manifest).model
+    cfg = dataclasses.replace(cfg, layout=layout, time_mode="mix" if layout == "il" else "fine")
+    sizes = []
+    for events in (range(300, 350), range(100, 300)):
+        batch, _ = _batch(store, cfg, events)
+        params = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+        predict_probs(params, cfg, batch)
+        sizes.append(params.workspace.nbytes)
+    assert sizes[0] == sizes[1]
+    whole = ModelParameters(cfg, store.d_n, store.d_e, seed=1)
+    forward_batch(whole, cfg, batch, training=False)
+    assert sizes[1] < whole.workspace.nbytes / 2
