@@ -48,6 +48,9 @@ GRANULARITY_SECONDS = {
     "yearly": 24 * 7 * 365 * 3600,
 }
 
+# Offsets per chunk of encode_fine_time's two float64 buffers (200 KB each at d_t = 100).
+FINE_TIME_CHUNK = 256
+
 # Largest residual delta_t_max * alpha**(-(d_t-1)/beta) that validate_decay
 # accepts as "the slowest frequency has died out".
 DECAY_TOL = 1e-6
@@ -132,19 +135,25 @@ def encode_fine_time(delta_t, cfg: MteConfig) -> np.ndarray:
     zero therefore maps to the all-ones vector. The argument is formed and
     reduced by 2π in float64, where a float32 ulp of an offset of years
     would be seconds; the reduced argument lies in [-π, π], so its float32
-    cosine is within 2**-21 of the float64 one. ``featurize_pairs`` calls
-    this once per batch on the batch's distinct offsets.
+    cosine is within 2**-21 of the float64 one. It runs in chunks of
+    ``FINE_TIME_CHUNK`` offsets, in float64 buffers whose pages stay resident
+    from call to call. ``featurize_pairs`` calls this once per batch on the
+    batch's distinct offsets.
     """
     delta = np.asarray(delta_t, dtype=np.float64)
     if np.any(delta < 0):
         raise LeakageError("negative fine offset: history must precede the query time")
-    x = delta[..., None] * cfg.omega
-    # x -= rint(x / 2π) * 2π, with one temporary
-    t = np.divide(x, 2 * np.pi)
-    np.rint(t, out=t)
-    t *= 2 * np.pi
-    x -= t
-    out = x.astype(np.float32)
+    omega = cfg.omega
+    out = np.empty(delta.shape + (cfg.d_t,), np.float32)
+    offsets, rows = delta.reshape(-1, 1), out.reshape(-1, cfg.d_t)
+    work = np.empty((2, min(FINE_TIME_CHUNK, len(rows)), cfg.d_t))
+    for lo in range(0, len(rows), FINE_TIME_CHUNK):
+        x, t = work[:, :min(FINE_TIME_CHUNK, len(rows) - lo)]
+        np.multiply(offsets[lo:lo + len(x)], omega, out=x)
+        # x -= rint(x / 2π) * 2π
+        np.rint(np.divide(x, 2 * np.pi, out=t), out=t)
+        x -= np.multiply(t, 2 * np.pi, out=t)
+        rows[lo:lo + len(x)] = x
     return np.cos(out, out=out)
 
 

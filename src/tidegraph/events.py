@@ -5,7 +5,10 @@ interactions. The store is immutable after construction and is safe to read
 from any number of workers.
 
 Event files are CSV with header ``src,tgt,ts[,label],f0..f{k-1}``; the label
-column is optional. A JSON manifest with the same stem (``<name>.json``)
+column is optional. The reader skips blank lines and allows spaces around
+cells and CRLF line endings. Ids are int64 (``2.5`` is not an id); the other
+cells are float64 in decimal or exponent form, and an empty label is NaN.
+A JSON manifest with the same stem (``<name>.json``)
 carries the quantities that cannot be inferred reliably from the rows
 themselves: node count, feature dimensions, bipartiteness, calendar
 granularity, segment count, and the dataset duration.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -122,11 +125,7 @@ class EventStore:
             labels = np.full(n, np.nan)
         self.labels = np.ascontiguousarray(labels, dtype=np.float64)
 
-        _reject_events(~np.isfinite(self.timestamps), "non-finite timestamp")
-        _reject_events(~np.isfinite(self.edge_features).all(axis=1), "non-finite edge feature")
-        _reject_events((self.src < 0) | (self.tgt < 0), "negative node id")
-        _reject_events(self.timestamps < 0, "negative timestamp")
-        _reject_events(np.diff(self.timestamps, prepend=-np.inf) < 0, "events out of chronological order")
+        _check_rows(self.src, self.tgt, self.timestamps, self.edge_features)
 
         observed = int(max(self.src.max(), self.tgt.max())) + 1 if n else 0
         self.num_nodes = observed if num_nodes is None else int(num_nodes)
@@ -174,122 +173,120 @@ class EventStore:
         return np.unique(np.concatenate([self.src, self.tgt])) if self.num_events else np.array([], dtype=np.int64)
 
 
-def _reject_events(bad: np.ndarray, what: str) -> None:
-    """Raise naming the first event flagged in ``bad``, if any is."""
-    if bad.any():
-        raise ValidationError(f"{what} at event {int(np.argmax(bad))}")
+class _BadEvent(ValidationError):
+    """An event breaks a row invariant; ``detail`` describes it as a file's row."""
+
+    def __init__(self, event: int, kind: str, detail: str):
+        super().__init__(f"{kind} at event {event}")
+        self.event, self.detail = event, detail
 
 
-def _parse_header(header: list[str]):
-    if len(header) < 3 or header[0] != "src" or header[1] != "tgt" or header[2] != "ts":
-        raise SchemaError(f"header must start with src,tgt,ts; got {header[:3]}")
-    rest = header[3:]
-    has_label = bool(rest) and rest[0] == "label"
-    feats = rest[1:] if has_label else rest
-    for j, name in enumerate(feats):
+def _check_rows(src, tgt, ts, feats) -> None:
+    """Raise :class:`_BadEvent` for the first event with a negative node id, a
+    non-finite edge feature, or a timestamp that is not finite, is negative
+    or precedes the previous event's (tested in that order)."""
+    prev = np.concatenate(([0.0], ts[:-1]))
+    bad = (src < 0) | (tgt < 0) | ~np.isfinite(feats).all(axis=1) | ~((prev <= ts) & (ts < np.inf))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    node, stamp = min(int(src[i]), int(tgt[i])), float(ts[i])
+    for failed, kind, detail in (
+        (node < 0, "negative node id", f"negative node id {node}"),
+        (not np.isfinite(feats[i]).all(), "non-finite edge feature", "non-finite edge feature"),
+        (not np.isfinite(stamp), "non-finite timestamp", f"non-finite timestamp {stamp}"),
+        (stamp < 0, "negative timestamp", f"negative timestamp {stamp}"),
+        (True, "events out of chronological order", f"timestamp {stamp} precedes previous row"),
+    ):
+        if failed:
+            raise _BadEvent(i, kind, detail)
+
+
+def _parse_header(header: str):
+    names = [name.strip() for name in header.split(",")] if header else ["src", "tgt", "ts"]
+    if names[:3] != ["src", "tgt", "ts"]:
+        raise SchemaError(f"header must start with src,tgt,ts; got {names[:3]}")
+    has_label = names[3:4] == ["label"]
+    for j, name in enumerate(names[3 + has_label:]):
         if name != f"f{j}":
             raise SchemaError(f"feature columns must be f0..f{{k-1}}; got {name!r} at position {j}")
-    return has_label, len(feats)
+    return has_label, len(names) - 3 - has_label
+
+
+def _read_columns(source, has_label: bool, d_e: int):
+    """Parse data rows (an open file or a list of lines) into contiguous
+    ``src, tgt, ts, edge_features, labels`` columns; raises ``ValueError``
+    on a bad cell or column count."""
+    columns = [("src", np.int64), ("tgt", np.int64), ("ts", np.float64)]
+    columns += [("label", np.float64)] * has_label + [("f", np.float64, (d_e,))] * bool(d_e)
+    converters = {3: lambda cell: float(cell) if cell.strip() else np.nan} if has_label else None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(source, dtype=columns, delimiter=",", comments=None, converters=converters, ndmin=1)
+    # one copy per column; the parsed rows are freed on return, before any check runs
+    feats = rows["f"].copy() if d_e else np.zeros((len(rows), 0))
+    return rows["src"].copy(), rows["tgt"].copy(), rows["ts"].copy(), feats, rows["label"].copy() if has_label else None
 
 
 def ingest_events(path, manifest: DatasetManifest | None = None) -> EventStore:
     """Read an event CSV (plus optional manifest) into an :class:`EventStore`.
 
-    Rows must be in chronological order, with non-negative node ids and
-    finite, non-negative timestamps and finite edge features; a row that is
-    not is rejected with its line number. Line numbers count data rows (the
-    header is line 0).
+    The file is parsed in one pass by numpy's reader, then checked as arrays.
+    Errors name a line, counting the header as line 0 and blank lines too; the
+    first bad line wins. A wrong column count (a line of only spaces too)
+    raises :class:`SchemaError` and a cell that does not parse
+    :class:`ParseError`. A negative node id, a non-finite edge feature or
+    timestamp, a negative timestamp or a row out of chronological order raises
+    :class:`ValidationError`. A manifest whose ``d_e`` differs from the
+    header's raises :class:`SchemaError` before any row is read.
     """
-    path = Path(path)
     if manifest is None:
         manifest = DatasetManifest.beside(path)
-
-    src, tgt, ts, labels, feats = [], [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            header = None
-        if header is None:
-            has_label, d_e = False, 0
-        else:
-            has_label, d_e = _parse_header([h.strip() for h in header])
-        prev_ts = 0.0
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            expected = 3 + (1 if has_label else 0) + d_e
-            if len(row) != expected:
-                raise SchemaError(
-                    f"line {line_no}: expected {expected} columns, got {len(row)}"
-                )
+    try:
+        with open(path) as fh:
+            has_label, d_e = _parse_header(fh.readline())
+            if manifest is not None and manifest.d_e != d_e:
+                raise SchemaError(f"manifest declares d_e={manifest.d_e} but file has {d_e} feature columns")
             try:
-                s, t = int(row[0]), int(row[1])
-                stamp = float(row[2])
-                offset = 3
-                if has_label:
-                    cell = row[3].strip()
-                    labels.append(float(cell) if cell else np.nan)
-                    offset = 4
-                feats.append([float(c) for c in row[offset:]])
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            if s < 0 or t < 0:
-                raise ValidationError(f"line {line_no}: negative node id {min(s, t)}")
-            if d_e and not all(map(math.isfinite, feats[-1])):
-                raise ValidationError(f"line {line_no}: non-finite edge feature")
-            # one comparison on the common path rejects NaN, inf, negative and out-of-order times
-            if not prev_ts <= stamp < math.inf:
-                if not math.isfinite(stamp):
-                    why = f"non-finite timestamp {stamp}"
-                elif stamp < 0:
-                    why = f"negative timestamp {stamp}"
+                src, tgt, ts, feats, labels = _read_columns(fh, has_label, d_e)
+            except ValueError:
+                # find the first line the reader rejects; the rows above it are checked first
+                fh.seek(0)
+                lines = fh.read().split("\n")
+                for line_no, line in enumerate(lines[1:], start=1):
+                    try:
+                        _read_columns([line], has_label, d_e)
+                    except ValueError:
+                        break
                 else:
-                    why = f"timestamp {stamp} precedes previous row"
-                raise ValidationError(f"line {line_no}: {why}")
-            prev_ts = stamp
-            src.append(s)
-            tgt.append(t)
-            ts.append(stamp)
-
-    src = np.asarray(src, dtype=np.int64)
-    tgt = np.asarray(tgt, dtype=np.int64)
-    ts = np.asarray(ts, dtype=np.float64)
-    feat_arr = np.asarray(feats, dtype=np.float64) if feats else np.zeros((len(src), d_e))
-    if feat_arr.size == 0:
-        feat_arr = feat_arr.reshape(len(src), d_e)
-    label_arr = np.asarray(labels, dtype=np.float64) if has_label else None
-
-    kwargs = {}
-    if manifest is not None:
-        kwargs = dict(num_nodes=manifest.num_nodes, bipartite=manifest.bipartite)
-        if manifest.d_n:
-            kwargs["node_features"] = np.zeros((manifest.num_nodes, manifest.d_n))
-        if manifest.d_e != feat_arr.shape[1]:
-            raise SchemaError(
-                f"manifest declares d_e={manifest.d_e} but file has {feat_arr.shape[1]} feature columns"
-            )
-    return EventStore(src, tgt, ts, feat_arr, labels=label_arr, **kwargs)
+                    raise
+                _check_rows(*_read_columns(lines[1:line_no], has_label, d_e)[:4])
+                cells, expected = line.count(",") + 1, 3 + has_label + d_e
+                if cells != expected:
+                    raise SchemaError(f"line {line_no}: expected {expected} columns, got {cells}") from None
+                raise ParseError(line_no, f"ids must be integers, other cells numbers; got {line.strip()!r}") from None
+        kwargs = {} if manifest is None else dict(
+            num_nodes=manifest.num_nodes, bipartite=manifest.bipartite,
+            node_features=np.zeros((manifest.num_nodes, manifest.d_n)))
+        return EventStore(src, tgt, ts, feats, labels=labels, **kwargs)
+    except _BadEvent as exc:
+        with open(path) as fh:
+            data_lines = [k for k, line in enumerate(fh.read().split("\n")) if k and line]
+        raise ValidationError(f"line {data_lines[exc.event]}: {exc.detail}") from None
 
 
 def write_events(store: EventStore, path) -> None:
-    """Serialize a store back to the CSV layout accepted by :func:`ingest_events`."""
+    """Serialize a store back to the CSV layout accepted by :func:`ingest_events`:
+    floats as their ``repr``, which reads back exactly, and a missing label empty."""
     has_label = bool(store.num_events) and not np.all(np.isnan(store.labels))
-    header = ["src", "tgt", "ts"]
-    if has_label:
-        header.append("label")
-    header += [f"f{j}" for j in range(store.d_e)]
+    header = ["src", "tgt", "ts"] + ["label"] * has_label + [f"f{j}" for j in range(store.d_e)]
+    labels = [["" if np.isnan(v) else v for v in store.labels.tolist()]] * has_label
+    columns = [store.src.tolist(), store.tgt.tolist(), store.timestamps.tolist(), *labels,
+               *store.edge_features.T.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(store.num_events):
-            row = [int(store.src[i]), int(store.tgt[i]), repr(float(store.timestamps[i]))]
-            if has_label:
-                lab = store.labels[i]
-                row.append("" if np.isnan(lab) else repr(float(lab)))
-            row += [repr(float(v)) for v in store.edge_features[i]]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -60,16 +60,16 @@ def generate_cycle_corpus(
     feats = rng.normal(size=(len(src), d_e)) if d_e else np.zeros((len(src), 0))
 
     store = EventStore(src, tgt, ts, feats, num_nodes=num_sources + num_targets, bipartite=True)
-    manifest = DatasetManifest(
-        num_nodes=num_sources + num_targets,
-        d_n=0,
-        d_e=d_e,
-        bipartite=True,
-        granularity="weekly",
+    return store, _weekly_manifest(store)
+
+
+def _weekly_manifest(store: EventStore) -> DatasetManifest:
+    """A bipartite store's manifest, with weekly segments spanning its duration."""
+    return DatasetManifest(
+        num_nodes=store.num_nodes, d_e=store.d_e, bipartite=True, granularity="weekly",
         r_segments=max(1, int(np.ceil(store.duration_seconds / WEEK_SECONDS))),
         duration_seconds=store.duration_seconds,
     )
-    return store, manifest
 
 
 def cycle_oracle_scores(store: EventStore, positives, candidates) -> np.ndarray:
@@ -140,11 +140,4 @@ def generate_hotnode_corpus(
     src, tgt, ts = src[order], tgt[order], ts[order]
     num_nodes = num_sources + 1 + num_cold_targets
     store = EventStore(src, tgt, ts, num_nodes=num_nodes, bipartite=True)
-    manifest = DatasetManifest(
-        num_nodes=num_nodes,
-        bipartite=True,
-        granularity="weekly",
-        r_segments=max(1, int(np.ceil(store.duration_seconds / WEEK_SECONDS))),
-        duration_seconds=store.duration_seconds,
-    )
-    return store, manifest, int(hot)
+    return store, _weekly_manifest(store), int(hot)

@@ -106,6 +106,18 @@ def test_non_finite_timestamp_rejected(tmp_path, capsys):
     assert "line 2: non-finite timestamp" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("src,tgt,ts,f0\n0,1,5,0.5\n0,2,6\n", "line 2: expected 4 columns, got 3"),
+    ("src,tgt,ts\n0,1,5\n\n0,2,1\n", "line 3: timestamp 1.0 precedes previous row"),
+])
+def test_bad_row_names_its_line(tmp_path, capsys, text, message):
+    # a wrong column count, and an out-of-order row after a blank line
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    assert main(["train", "--data", str(data)]) == 2
+    assert message in _error_line(capsys)
+
+
 @pytest.mark.parametrize("option, text, message", [
     ("--data", None, "No such file or directory"),
     ("--manifest", None, "No such file or directory"),

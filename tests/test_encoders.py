@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tidegraph import harness, model
+from tidegraph import encoders, harness, model
 from tidegraph.attention import ffn_forward
 from tidegraph.encoders import (
     GRANULARITY_SECONDS,
@@ -82,6 +82,20 @@ class TestFineTime:
         expected = [[math.cos(w * dt) for w in cfg.omega.tolist()] for dt in offsets.tolist()]
         assert got.dtype == np.float32
         assert np.max(np.abs(got - expected)) <= COS_TOL
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 4096])
+    def test_chunks_are_bitwise_one_pass(self, monkeypatch, chunk):
+        # the reference forms and reduces the float64 argument of every offset at once
+        cfg = MteConfig(d_t=100)
+        cfg.alpha = cfg.smallest_alpha(1e7)
+        offsets = np.random.default_rng(1).uniform(0, 1e7, (4, 250))
+        x = offsets[..., None] * cfg.omega
+        x -= np.rint(x / (2 * np.pi)) * (2 * np.pi)
+        expected = np.cos(x.astype(np.float32))
+        monkeypatch.setattr(encoders, "FINE_TIME_CHUNK", chunk)
+        got = encode_fine_time(offsets, cfg)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
 
     def test_negative_offset_rejected(self):
         with pytest.raises(LeakageError):
