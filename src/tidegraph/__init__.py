@@ -49,7 +49,7 @@ from .model import (
     predict_probs,
     save_checkpoint,
 )
-from .optim import AdamState, adam_step
+from .optim import AdamState, FlatTensors, adam_step
 from .sampling import (
     PAD_ID,
     BatchNeighborIndex,

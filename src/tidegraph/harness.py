@@ -154,7 +154,7 @@ def evaluate_link_prediction(
             raise MetricError("inductive evaluation has no positives touching unseen nodes")
 
     strategy = NegativeSamplingStrategy(nss, seed=eval_seed)
-    neg_sampler = NegativeSampler(store, strategy, train_range=splits.train, index=sampler)
+    neg_sampler = NegativeSampler(store, strategy, train_range=splits.train)
     rng = np.random.default_rng(_derived_seed(eval_seed, 11))
 
     scores, labels = [], []

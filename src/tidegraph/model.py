@@ -55,6 +55,19 @@ order. For layouts il and sl that is
 the last m columns of the left-padded windows; for ml it also closes the
 PAD gap between a pair's two windows. The attention's dropout still draws
 its uniforms for the padded (S, L, L) grid (see :mod:`.attention`).
+
+Parameters and checkpoints: :class:`ModelParameters` holds its values and
+its gradients as one contiguous 1-D array each (a :class:`~.optim.FlatTensors`),
+with every named tensor a view into it, placed by one (name, shape, offset)
+table. Zeroing the gradients, a snapshot, a restore, a dtype cast and an
+Adam step (see :mod:`.optim`) each work on the whole array at once.
+Checkpoint format 3 (:func:`save_checkpoint`) stores those arrays as they
+are: an uncompressed ``.npz`` archive with a ``param`` member, ``adam_m``
+and ``adam_v`` members when the Adam state is saved, each 1-D in the
+parameters' dtype, and a JSON ``meta`` member holding the table.
+:func:`load_checkpoint` reads each member in one zip read and returns named
+views into it; format 1 and 2 files (one member per tensor) are refused by
+their version.
 """
 
 from __future__ import annotations
@@ -62,13 +75,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import copy
+import io
 import json
+import math
+import zipfile
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import attention as nn
 from .encoders import MteConfig, bie_counts, bie_reconstruct, encode_coarse_time, encode_fine_time, mix_temporal, ste_decompose
 from .errors import CheckFailure, ConfigError
+from .optim import FlatTensors
 from .sampling import PAD_ID, BatchNeighborIndex, NeighborSequence
 
 __all__ = [
@@ -89,7 +107,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# the arrays of a checkpoint, one per kind; the Adam moments are optional
+CHECKPOINT_KINDS = ("param", "adam_m", "adam_v")
 # The transformer's compute dtype; ModelParameters.astype gives a copy in another.
 COMPUTE_DTYPE = np.float32
 # The most padded slots of one tile of an evaluation forward (see forward_batch):
@@ -180,11 +200,14 @@ def _glorot(rng, shape, fan_in, fan_out):
 class ModelParameters:
     """Named parameter tensors plus same-shaped gradient buffers.
 
-    Every tensor has the compute dtype ``dtype``, :data:`COMPUTE_DTYPE` as
-    built; :meth:`astype` gives a copy in another dtype. The initial values
-    are drawn in float64 and then cast. ``workspace`` holds the step
-    buffers of :func:`forward_batch` and :func:`backward_batch`; it is empty
-    until the first forward, and every copy gets its own.
+    ``values`` and ``grads`` are :class:`~.optim.FlatTensors` over one table
+    built here: each a contiguous 1-D array with the named tensors as views
+    into it, in the order below. Every tensor has the compute dtype
+    ``dtype``, :data:`COMPUTE_DTYPE` as built; :meth:`astype` gives a copy in
+    another dtype. The initial values are drawn in float64 and then cast.
+    ``workspace`` holds the step buffers of :func:`forward_batch` and
+    :func:`backward_batch`; it is empty until the first forward, and every
+    copy gets its own.
     """
 
     def __init__(self, cfg: ModelConfig, d_n: int, d_e: int, seed: int = 0):
@@ -231,22 +254,21 @@ class ModelParameters:
         vals["link.w2"] = _glorot(rng, (h, 1), h, 1)
         vals["link.b2"] = np.zeros(1)
 
-        self.values = {k: v.astype(self.dtype, copy=False) for k, v in vals.items()}
-        self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.values = FlatTensors.pack(vals, self.dtype)
+        self.grads = FlatTensors.zeros(self.values.table, self.dtype)
         self.workspace = nn.Workspace()
 
     def astype(self, dtype) -> "ModelParameters":
         """A copy with every tensor cast to ``dtype`` and zero gradients."""
         out = copy.copy(self)
         out.dtype = np.dtype(dtype)
-        out.values = {k: v.astype(out.dtype) for k, v in self.values.items()}
-        out.grads = {k: np.zeros_like(v) for k, v in out.values.items()}
+        out.values = self.values.astype(out.dtype)
+        out.grads = FlatTensors.zeros(out.values.table, out.dtype)
         out.workspace = nn.Workspace()
         return out
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.grads.flat.fill(0.0)
 
     def layer_view(self, l: int) -> dict[str, np.ndarray]:
         p = f"layers.{l}."
@@ -261,15 +283,17 @@ class ModelParameters:
 
     @property
     def num_scalars(self) -> int:
-        return sum(v.size for v in self.values.values())
+        return self.values.flat.size
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.values.items()}
+    def snapshot(self) -> FlatTensors:
+        return self.values.astype(self.dtype)
 
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Copy ``snapshot`` into the tensors, cast to the compute dtype."""
-        for k, v in snapshot.items():
-            self.values[k][...] = v
+    def restore(self, snapshot: FlatTensors) -> None:
+        """Copy ``snapshot`` (of :meth:`snapshot` or :func:`load_checkpoint`)
+        into the tensors in one copy, cast to the compute dtype."""
+        if snapshot.table != self.values.table:
+            raise ValueError("the snapshot's tensor table is not the parameters'")
+        self.values.flat[...] = snapshot.flat
 
 
 @dataclass
@@ -670,15 +694,23 @@ def grad_check(
 
 
 def save_checkpoint(path, params: ModelParameters, adam_state=None, config_hash: str = "", extra: dict | None = None) -> None:
-    """Named-tensor container: ``param.*`` arrays, optional ``adam_{m,v}.*``
-    moment arrays, and a JSON ``meta`` record (format version, config hash,
-    optimizer step, any extra fields). Arrays keep the parameters' dtype;
-    :meth:`ModelParameters.restore` casts them into a model of either dtype."""
-    payload = {f"param.{k}": v for k, v in params.values.items()}
-    meta = {"format_version": CHECKPOINT_VERSION, "config_hash": config_hash}
+    """Write a format-3 checkpoint: an uncompressed ``.npz`` archive of one
+    1-D array per kind, ``param`` and, with ``adam_state``, the moments
+    ``adam_m`` and ``adam_v``, each the flat array of its
+    :class:`~.optim.FlatTensors` in the parameters' dtype, plus ``meta``, a
+    JSON record: the format version, the config hash, the optimizer step
+    ``adam_t`` (with ``adam_state``), any ``extra`` fields, and ``table``,
+    the [name, shape, offset] of every tensor in the flat arrays, in order.
+    :meth:`ModelParameters.restore` casts the values into a model of either
+    dtype."""
+    table = params.values.table
+    payload = {"param": params.values.flat}
+    meta = {"format_version": CHECKPOINT_VERSION, "config_hash": config_hash,
+            "table": [[name, list(shape), off] for name, shape, off in table]}
     if adam_state is not None:
-        payload.update({f"adam_m.{k}": v for k, v in adam_state.m.items()})
-        payload.update({f"adam_v.{k}": v for k, v in adam_state.v.items()})
+        if adam_state.m.table != table:
+            raise ValueError("the Adam state's tensor table is not the parameters'")
+        payload.update(adam_m=adam_state.m.flat, adam_v=adam_state.v.flat)
         meta["adam_t"] = adam_state.t
     if extra:
         meta.update(extra)
@@ -686,18 +718,59 @@ def save_checkpoint(path, params: ModelParameters, adam_state=None, config_hash:
     np.savez(path, **payload)
 
 
+def _read_npy(data: bytes) -> np.ndarray:
+    """The array of one ``.npy`` member's bytes, a read-only view of them."""
+    fp = io.BytesIO(data)
+    version = npy_format.read_magic(fp)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"npy format version {version} is not supported")
+    read_header = npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0
+    shape, fortran, dtype = read_header(fp)
+    if dtype.hasobject or (fortran and len(shape) > 1):
+        raise ValueError(f"an array of dtype {dtype} (fortran order {fortran}) is not a checkpoint array")
+    return np.frombuffer(data, dtype, count=math.prod(shape), offset=fp.tell()).reshape(shape)
+
+
 def load_checkpoint(path) -> dict:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint format version {meta.get('format_version')} "
-                f"(this version reads {CHECKPOINT_VERSION}); retrain to write a new checkpoint"
-            )
-        values = {k[len("param."):]: data[k] for k in data.files if k.startswith("param.")}
-        adam_m = {k[len("adam_m."):]: data[k] for k in data.files if k.startswith("adam_m.")}
-        adam_v = {k[len("adam_v."):]: data[k] for k in data.files if k.startswith("adam_v.")}
-    out = {"values": values, "meta": meta}
-    if adam_m:
-        out["adam"] = {"m": adam_m, "v": adam_v, "t": meta.get("adam_t", 0)}
+    """Read a format-3 checkpoint (see :func:`save_checkpoint`):
+    ``{"values", "meta"}`` and, when it holds the moments, ``"adam"``
+    (``{"m", "v", "t"}``). ``values`` and the moments are
+    :class:`~.optim.FlatTensors` of named, read-only views into the array
+    read from the file, one zip-member read per kind. A file that is not
+    such a checkpoint (not a zip archive, truncated, another format version,
+    a member missing, a table that does not fit its arrays) raises
+    :class:`ConfigError`."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            names = set(zf.namelist())
+            raw = {kind: zf.read(f"{kind}.npy") for kind in ("meta", *CHECKPOINT_KINDS) if f"{kind}.npy" in names}
+        arrays = {kind: _read_npy(data) for kind, data in raw.items()}
+        meta = json.loads(str(arrays.pop("meta")[()])) if "meta" in arrays else None
+    except (zipfile.BadZipFile, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable checkpoint: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: not a checkpoint: no meta record")
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"unsupported checkpoint format version {meta.get('format_version')} "
+            f"(this version reads {CHECKPOINT_VERSION}); retrain to write a new checkpoint"
+        )
+    if set(arrays) not in ({"param"}, set(CHECKPOINT_KINDS)):
+        raise ConfigError(f"{path}: a checkpoint holds param, or param, adam_m and adam_v; found {sorted(arrays)}")
+    try:
+        entries = [(str(name), tuple(int(d) for d in shape), int(off)) for name, shape, off in meta["table"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed tensor table: {exc!r}") from None
+    table = FlatTensors.layout((name, shape) for name, shape, _ in entries)
+    size = sum(math.prod(shape) for _, shape, _ in table)
+    if (entries != list(table) or len({name for name, _, _ in table}) != len(table)
+            or any(d < 0 for _, shape, _ in table for d in shape)
+            or any(a.shape != (size,) for a in arrays.values())):
+        shapes = {kind: a.shape for kind, a in arrays.items()}
+        raise ConfigError(f"{path}: the tensor table does not pack its arrays: "
+                          f"{len(table)} tensors of {size} scalars in all, arrays of shapes {shapes}")
+    stores = {kind: FlatTensors(table, a) for kind, a in arrays.items()}
+    out = {"values": stores["param"], "meta": meta}
+    if "adam_m" in stores:
+        out["adam"] = {"m": stores["adam_m"], "v": stores["adam_v"], "t": meta.get("adam_t", 0)}
     return out

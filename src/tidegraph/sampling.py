@@ -1,10 +1,11 @@
 """First-order neighbor windows, per-batch indices, and negative sampling.
 
-All sampling is pure given (store, rng state) and reads one index of node
-history, :class:`NeighborSampler`. Windows are left-padded: PAD slots occupy
-a contiguous prefix so the most recent interaction is always the last token.
-PAD slots hold event id -1 and timestamp equal to the query time, which makes
-their fine time offset exactly zero; featurization zeroes their features, and
+All sampling is pure given (store, rng state). Windows read one index of
+node history, :class:`NeighborSampler`; negative pools are built from the
+event columns. Windows are left-padded: PAD slots occupy a contiguous prefix
+so the most recent interaction is always the last token. PAD slots hold
+event id -1 and timestamp equal to the query time, which makes their fine
+time offset exactly zero; featurization zeroes their features, and
 downstream code must additionally honor the validity mask.
 """
 
@@ -170,8 +171,9 @@ class NegativeSampler:
 
     Each positive takes one bounded draw, in batch order, into its pool
     sorted by id or into the universe: one ``rng.integers`` call per batch,
-    none if it raises. Pools are read from a :class:`NeighborSampler` index:
-    ``index`` if given, which must be built over ``store``, else a new one.
+    none if it raises. The pools are built once from the event columns:
+    each (source, target) pair's first event, ordered by (source, event id),
+    which is (source, time) order since events are in time order.
     """
 
     def __init__(
@@ -179,7 +181,6 @@ class NegativeSampler:
         store: EventStore,
         strategy: NegativeSamplingStrategy,
         train_range: tuple[int, int] | None = None,
-        index: NeighborSampler | None = None,
     ):
         self.strategy = strategy
         self.universe = np.unique(store.tgt)
@@ -191,24 +192,21 @@ class NegativeSampler:
             return
         if train_range is None:
             raise ValueError(f"{strategy.kind} sampling needs the train range")
-        if index is None:
-            index = NeighborSampler(store)
-        entries = np.flatnonzero(index._from_src)
-        # lexsort is stable, so each (source, target) run starts at the pair's first entry
-        by_pair = entries[np.lexsort((index._partners[entries], index._nodes[entries]))]
-        nodes, partners = index._nodes[by_pair], index._partners[by_pair]
+        src, tgt = store.src, store.tgt
+        # lexsort is stable, so each (source, target) run starts at the pair's first event
+        by_pair = np.lexsort((tgt, src))
+        s, t = src[by_pair], tgt[by_pair]
         first = np.ones(len(by_pair), dtype=bool)
-        first[1:] = (nodes[1:] != nodes[:-1]) | (partners[1:] != partners[:-1])
-        entries = np.sort(by_pair[first])
+        first[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
+        eids = by_pair[first]
         if strategy.kind == "inductive":
-            # events are in time order, so a pair's first entry is its first event
             lo, hi = train_range
-            eids = index._eids[entries]
-            entries = entries[(eids < lo) | (eids >= hi)]
-        self._nodes = index._nodes[entries]
-        self._key = np.empty(len(entries), dtype=[("node", np.int64), ("time", np.float64)])
-        self._key["node"], self._key["time"] = self._nodes, index._times[entries]
-        self._ranks = self.universe.searchsorted(index._partners[entries])  # every partner here is a target
+            eids = eids[(eids < lo) | (eids >= hi)]
+        eids = eids[np.lexsort((eids, src[eids]))]
+        self._nodes = src[eids]
+        self._key = np.empty(len(eids), dtype=[("node", np.int64), ("time", np.float64)])
+        self._key["node"], self._key["time"] = self._nodes, store.timestamps[eids]
+        self._ranks = self.universe.searchsorted(tgt[eids])  # every partner here is a target
 
     def _pools(self, src, t, exclude) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every positive's pool as ranks in the universe, its ``exclude``

@@ -92,6 +92,17 @@ def test_eval_rejects_version_1_checkpoint(tmp_path, capsys):
     assert "checkpoint format version 1" in _error_line(capsys)
 
 
+def test_eval_rejects_version_2_checkpoint(tmp_path, capsys):
+    data = tmp_path / "c.csv"
+    assert main(["gen-synth", "--events", "200", "--out", str(data)]) == 0
+    ckpt = tmp_path / "old.npz"
+    meta = {"format_version": 2, "config_hash": ""}
+    np.savez(ckpt, **{"param.input.w": np.zeros((2, 2), np.float32)}, meta=np.array(json.dumps(meta)))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt)]) == 2
+    assert "checkpoint format version 2" in _error_line(capsys)
+
+
 def test_malformed_event_file(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("src,tgt,ts\n0,1,5\n0,2,x\n")
@@ -215,6 +226,42 @@ def test_eval_rejects_checkpoint_of_another_config(il_checkpoint, capsys, model,
     capsys.readouterr()
     assert main(["eval", "--data", data, "--config", cfg, "--checkpoint", ckpt]) == 2
     assert message in _error_line(capsys)
+
+
+def _retabled(table):
+    table[0][1] = [table[0][1][0] + 1, *table[0][1][1:]]  # one more row: the sizes overrun the array
+    return table
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ckpt, path: path.write_text("not a checkpoint\n"), "not a readable checkpoint: File is not a zip file"),
+    (lambda ckpt, path: path.write_bytes(open(ckpt, "rb").read()[:3000]), "not a readable checkpoint"),
+    (lambda ckpt, path: np.savez(path, meta=np.array(json.dumps({"format_version": 3, "table": []}))),
+     "a checkpoint holds param, or param, adam_m and adam_v; found []"),
+    (lambda ckpt, path: _rewrite_meta(ckpt, path, table=_retabled), "the tensor table does not pack its arrays"),
+    (lambda ckpt, path: _rewrite_meta(ckpt, path, format_version=lambda _: 2), "checkpoint format version 2"),
+])
+def test_bad_checkpoint_file(il_checkpoint, capsys, make, message):
+    # not a zip, truncated, no param member, a table that does not fit, format 2
+    tmp, data, ckpt = il_checkpoint
+    _, cfg = _small_run(tmp)
+    path = tmp / "bad.npz"
+    make(ckpt, path)
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--config", cfg, "--checkpoint", str(path)]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("tidegraph eval: error: ") and message in line
+
+
+def _rewrite_meta(ckpt, path, **edits):
+    """A copy of checkpoint ``ckpt`` at ``path`` with meta fields replaced by ``edit(old)``."""
+    with np.load(ckpt) as raw:
+        arrays = {k: raw[k] for k in raw.files}
+    meta = json.loads(str(arrays["meta"]))
+    for key, edit in edits.items():
+        meta[key] = edit(meta[key])
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
 
 
 def test_nss_alias_is_stored_canonically(tmp_path, capsys):

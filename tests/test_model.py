@@ -550,6 +550,47 @@ class TestCheckpoint:
             assert p32.values[k].dtype == np.float32
             np.testing.assert_array_equal(p32.values[k], v.astype(np.float32))
 
+    @pytest.mark.parametrize("with_adam", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_format_3_round_trip(self, tmp_path, dtype, with_adam):
+        # one array per kind plus the table: every tensor comes back with its
+        # dtype, shape and bytes, as a view of one flat array
+        params, cfg, batch, labels = gradcheck_fixture()
+        params = params.astype(dtype)
+        state = AdamState.for_params(params.values)
+        loss_and_grads(params, cfg, batch, labels)
+        adam_step(params.values, params.grads, state, lr=1e-3)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, state if with_adam else None)
+        with np.load(path) as raw:
+            kinds = ["param", "adam_m", "adam_v"] if with_adam else ["param"]
+            assert sorted(raw.files) == sorted(kinds + ["meta"])
+            assert all(raw[k].shape == (params.num_scalars,) for k in kinds)
+        loaded = load_checkpoint(path)
+        assert loaded["meta"]["format_version"] == 3
+        assert loaded["meta"]["table"] == [[n, list(s), o] for n, s, o in params.values.table]
+        assert ("adam" in loaded) == with_adam
+        groups = [(loaded["values"], params.values)]
+        if with_adam:
+            groups += [(loaded["adam"]["m"], state.m), (loaded["adam"]["v"], state.v)]
+            assert loaded["adam"]["t"] == 1
+        for got, want in groups:
+            assert list(got) == list(want)
+            for name, a in want.items():
+                b = got[name]
+                assert b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes(), name
+                assert np.shares_memory(b, got.flat)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 stored one member per tensor; it is refused by its version
+        params, _, _, _ = gradcheck_fixture()
+        payload = {f"param.{k}": v for k, v in params.values.items()}
+        payload["meta"] = np.array(json.dumps({"format_version": 2, "config_hash": ""}))
+        path = tmp_path / "v2.npz"
+        np.savez(path, **payload)
+        with pytest.raises(ConfigError, match="version 2"):
+            load_checkpoint(path)
+
     def test_version_1_rejected(self, tmp_path):
         # version 1 also stored tensors that version 2 no longer allocates;
         # such a file is refused by its version, not by a later KeyError

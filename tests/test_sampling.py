@@ -437,9 +437,29 @@ class TestNegativesAgainstLoop:
         assert sampler.rng.bit_generator.state == state and sampler.fallback_count == 0
 
 
+def _index_pools(store, kind, train_range):
+    """The reference pools, read from a :class:`NeighborSampler`'s entries
+    anchored at sources as the sampler once built them: (_nodes, _key, _ranks)."""
+    index = NeighborSampler(store)
+    entries = np.flatnonzero(index._from_src)
+    by_pair = entries[np.lexsort((index._partners[entries], index._nodes[entries]))]
+    nodes, partners = index._nodes[by_pair], index._partners[by_pair]
+    first = np.ones(len(by_pair), dtype=bool)
+    first[1:] = (nodes[1:] != nodes[:-1]) | (partners[1:] != partners[:-1])
+    entries = np.sort(by_pair[first])
+    if kind == "inductive":
+        lo, hi = train_range
+        eids = index._eids[entries]
+        entries = entries[(eids < lo) | (eids >= hi)]
+    key = np.empty(len(entries), dtype=[("node", np.int64), ("time", np.float64)])
+    key["node"], key["time"] = index._nodes[entries], index._times[entries]
+    ranks = np.unique(store.tgt).searchsorted(index._partners[entries])
+    return index._nodes[entries], key, ranks
+
+
 class TestSharedIndex:
-    """A sampler reading its pools from a given :class:`NeighborSampler`
-    draws what a sampler with its own index draws."""
+    """Negative pools built from the event columns are bitwise the pools a
+    :class:`NeighborSampler` index gives, and evaluation builds no index."""
 
     @pytest.mark.parametrize("kind", ["random", "historical", "inductive"])
     @pytest.mark.parametrize("bipartite", [True, False])
@@ -450,8 +470,14 @@ class TestSharedIndex:
             store = TestNegativesAgainstLoop._store(rng, bipartite)
             lo, hi = (int(v) for v in np.sort(rng.integers(0, store.num_events + 1, 2)))
             strategy = NegativeSamplingStrategy(kind, seed=seed)
-            got = NegativeSampler(store, strategy, (lo, hi), index=NeighborSampler(store))
+            got = NegativeSampler(store, strategy, (lo, hi))
             want = NegativeSampler(store, strategy, (lo, hi))
+            if kind != "random":
+                pools = _index_pools(store, kind, (lo, hi))
+                for name, ref in zip(("_nodes", "_key", "_ranks"), pools):
+                    a = getattr(got, name)
+                    assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), name
+                want._nodes, want._key, want._ranks = pools
             for _ in range(4):
                 positives = TestNegativesAgainstLoop._positives(rng, store, int(rng.integers(0, 50)))
                 g_neg, g_fell = got.sample(positives)

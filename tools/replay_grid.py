@@ -16,9 +16,13 @@ amplify float32-level changes about 250x by epoch 3, so a tolerance claim on
 them needs a control grid (the parent run with an ulp-level perturbation,
 compared against the parent's own grid) to show what the bound must absorb.
 
-``compare A B`` byte-compares the three text artifacts of every run and
-compares every checkpoint array bitwise (dtype, shape and bytes). It prints
-each difference and a total, and exits 1 if anything differs.
+``compare A B`` byte-compares the three text artifacts of every run, and
+compares every checkpoint array bitwise (dtype, shape and bytes) and the
+checkpoint's meta record without its format version and table. Checkpoints
+are read through :func:`read_checkpoint`, tensor by tensor, in format 2 and
+format 3 alike, so a grid of either format compares with a grid of the
+other. It prints each difference and a total, and exits 1 if anything
+differs.
 
 ``compare A B --tolerance REL,ABS`` is for a change that is meant to move the
 numbers a little (a new compute dtype, say). Per run it compares the
@@ -114,6 +118,26 @@ def _run_names():
     return [f"{c}-{l}-{n}" for c in CORPORA for l in LAYOUTS for n in NEGATIVES]
 
 
+def read_checkpoint(path: Path) -> tuple[dict, dict]:
+    """A checkpoint's meta record, without ``format_version`` and ``table``,
+    and its arrays keyed ``param.<name>``, ``adam_m.<name>`` and
+    ``adam_v.<name>``: one member per tensor in format 2, the named slices of
+    one flat array per kind, placed by the meta's ``table``, in format 3."""
+    with np.load(path) as ck:
+        meta = json.loads(str(ck["meta"]))
+        meta.pop("format_version", None)
+        table = meta.pop("table", None)
+        if table is None:
+            return meta, {k: ck[k] for k in ck.files if k != "meta"}
+        arrays = {}
+        for kind in ("param", "adam_m", "adam_v"):
+            if kind in ck.files:
+                flat = ck[kind]
+                for name, shape, off in table:
+                    arrays[f"{kind}.{name}"] = flat[off : off + math.prod(shape)].reshape(shape)
+        return meta, arrays
+
+
 def compare(a: Path, b: Path) -> int:
     """Print every difference between two grids; return the number found."""
     compared, differ = 0, []
@@ -123,15 +147,19 @@ def compare(a: Path, b: Path) -> int:
             pa, pb = a / name / artifact, b / name / artifact
             if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
                 differ.append(f"{name}/{artifact}")
-        with np.load(a / name / "checkpoint.npz") as ca, np.load(b / name / "checkpoint.npz") as cb:
-            for key in sorted(set(ca.files) | set(cb.files)):
-                compared += 1
-                if key not in ca.files or key not in cb.files:
-                    differ.append(f"{name}/checkpoint.npz:{key} (missing on one side)")
-                    continue
-                xa, xb = ca[key], cb[key]
-                if xa.dtype != xb.dtype or xa.shape != xb.shape or xa.tobytes() != xb.tobytes():
-                    differ.append(f"{name}/checkpoint.npz:{key}")
+        meta_a, ca = read_checkpoint(a / name / "checkpoint.npz")
+        meta_b, cb = read_checkpoint(b / name / "checkpoint.npz")
+        compared += 1
+        if meta_a != meta_b:
+            differ.append(f"{name}/checkpoint.npz:meta")
+        for key in sorted(ca.keys() | cb.keys()):
+            compared += 1
+            if key not in ca or key not in cb:
+                differ.append(f"{name}/checkpoint.npz:{key} (missing on one side)")
+                continue
+            xa, xb = ca[key], cb[key]
+            if xa.dtype != xb.dtype or xa.shape != xb.shape or xa.tobytes() != xb.tobytes():
+                differ.append(f"{name}/checkpoint.npz:{key}")
     for item in differ:
         print(f"differs: {item}")
     print(f"{compared} files and arrays compared, {len(differ)} differ")
@@ -179,21 +207,21 @@ def compare_within(a: Path, b: Path, rel: float, abs_: float) -> int:
         mismatches: list[str] = []
         _walk(_records(a / name), _records(b / name), name, "", worst, mismatches)
         ckpt_ok = True
-        with np.load(a / name / "checkpoint.npz") as ca, np.load(b / name / "checkpoint.npz") as cb:
-            if sorted(ca.files) != sorted(cb.files):
-                mismatches.append(f"{name}/checkpoint.npz: arrays {sorted(set(ca.files) ^ set(cb.files))} on one side")
-            for key in sorted(set(ca.files) & set(cb.files)):
-                xa, xb = ca[key], cb[key]
-                if key == "meta":
-                    if str(xa) != str(xb):
-                        mismatches.append(f"{name}/checkpoint.npz: meta {xa} != {xb}")
-                elif xa.shape != xb.shape:
-                    mismatches.append(f"{name}/checkpoint.npz:{key}: shape {xa.shape} != {xb.shape}")
-                elif xa.size:
-                    xa, xb = xa.astype(np.float64), xb.astype(np.float64)
-                    diff = np.abs(xa - xb)
-                    worst["ckpt"] = max(worst["ckpt"], float(diff.max()))
-                    ckpt_ok &= bool(np.all(diff <= abs_ + rel * np.abs(xa)))
+        meta_a, ca = read_checkpoint(a / name / "checkpoint.npz")
+        meta_b, cb = read_checkpoint(b / name / "checkpoint.npz")
+        if meta_a != meta_b:
+            mismatches.append(f"{name}/checkpoint.npz: meta {meta_a} != {meta_b}")
+        if ca.keys() != cb.keys():
+            mismatches.append(f"{name}/checkpoint.npz: arrays {sorted(ca.keys() ^ cb.keys())} on one side")
+        for key in sorted(ca.keys() & cb.keys()):
+            xa, xb = ca[key], cb[key]
+            if xa.shape != xb.shape:
+                mismatches.append(f"{name}/checkpoint.npz:{key}: shape {xa.shape} != {xb.shape}")
+            elif xa.size:
+                xa, xb = xa.astype(np.float64), xb.astype(np.float64)
+                diff = np.abs(xa - xb)
+                worst["ckpt"] = max(worst["ckpt"], float(diff.max()))
+                ckpt_ok &= bool(np.all(diff <= abs_ + rel * np.abs(xa)))
         within = worst["loss"] <= rel and worst["ap/auc"] <= abs_ and worst["mass"] <= abs_ and ckpt_ok
         ok = within and not mismatches
         failed += not ok
