@@ -50,10 +50,11 @@ backward pass takes (R, h) rows, scatters the context gradient onto the
 grid and gathers the q, k and v gradients back to rows. A model passes the
 compact grid of :func:`compact_grid`: each sequence's valid slots
 right-aligned in m columns, m the most valid slots of any sequence, which
-holds the rows in the same C order as the padded (..., L) mask. Dropout
-then draws the uniforms of the padded (J, ..., L, L) grid and keeps those
-at the compact slots' columns, so its stream does not depend on m, and the
-grid arrays' storage is sized for the padded grid (see :class:`Workspace`).
+holds the rows in the same C order as the padded (..., L) mask. The
+attention's dropout is :func:`dropout_forward` on the compact (J, ..., m, m)
+weights, one uniform per weight, as the FFN's is on its rows; the grid
+arrays' storage, the dropout scale's included, is sized for the padded grid
+(see :class:`Workspace`), so a change of m reallocates nothing.
 When no slot is PAD, the readout sums the rows in place, as the grid they
 are.
 """
@@ -62,13 +63,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from math import prod, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Workspace",
-    "PaddedColumns",
     "compact_grid",
     "sigmoid",
     "masked_softmax",
@@ -170,25 +169,18 @@ def _workspace(ws):
     return Workspace() if ws is None else ws
 
 
-class PaddedColumns(NamedTuple):
-    """Where the slots of a compact (..., m) attention grid sit in its padded
-    (..., L) grid: each slot's column ``cols`` (..., m) and the width L."""
-
-    cols: np.ndarray
-    width: int
-
-
 def compact_grid(mask):
     """The compact attention grid of a padded (..., L) sequence mask, as
-    (compact mask, :class:`PaddedColumns`). Its width m is the most valid
-    slots of any sequence, and sequence s's c_s valid slots fill its last
-    c_s columns in their order, so the valid slots have the C order of
-    ``mask``. The first m - c_s columns map to PAD columns of the padded
-    grid. With no PAD slot the compact mask is ``mask``."""
+    (compact mask, cols). Its width m is the most valid slots of any
+    sequence, and sequence s's c_s valid slots fill its last c_s columns in
+    their order, so the valid slots have the C order of ``mask``. ``cols``
+    (..., m) is each compact slot's column in the padded grid; the first
+    m - c_s map to PAD columns. With no PAD slot the compact mask is
+    ``mask``."""
     counts = mask.sum(axis=-1)
     m = int(counts.max(initial=0))
     cols = np.argsort(mask, axis=-1, kind="stable")[..., mask.shape[-1] - m :]
-    return np.arange(m) >= m - counts[..., None], PaddedColumns(cols, mask.shape[-1])
+    return np.arange(m) >= m - counts[..., None], cols
 
 
 def _padded_size(shape, width, square=False):
@@ -250,56 +242,27 @@ def masked_softmax_backward(grad: np.ndarray, attn: np.ndarray, *, scratch: np.n
     return grad
 
 
-def dropout_forward(x, rate, rng, training, *, ws=None, key="dropout", out=None):
+def dropout_forward(x, rate, rng, training, *, ws=None, key="dropout", out=None, capacity=0):
     """Inverted dropout; identity (cache None) when inactive.
 
-    The per-unit scale, ``(u >= rate) / (1 - rate)`` for uniforms ``u``, is
-    the cache; it is written to the workspace under ``key``, and the dropped
-    units to ``out``, which may be ``x``. The uniforms are drawn
-    :data:`UNIFORM_CHUNK` at a time into one reused float64 buffer, which is
-    the same stream as one draw of ``x.shape``.
+    The per-unit scale, ``(u >= rate) / (1 - rate)`` for one uniform ``u``
+    per element of ``x``, in C order, is the cache; it is written to the
+    workspace under ``key`` (with ``capacity``, see :meth:`Workspace.get`),
+    and the dropped units to ``out``, which may be ``x``. The uniforms are
+    drawn :data:`UNIFORM_CHUNK` at a time into one reused float64 buffer,
+    which is the same stream as one draw of ``x.shape``.
     """
     if not training or rate == 0.0:
         return x, None
     ws = _workspace(ws)
-    scale = ws.get(key, x.shape, x.dtype)
-    _draw_kept(scale.reshape(-1), rate, rng, ws)
-    scale /= 1.0 - rate
-    return np.multiply(x, scale, out=out), scale
-
-
-def _draw_kept(flat, rate, rng, ws):
-    """``uniforms >= rate`` into the 1-D ``flat``, drawn :data:`UNIFORM_CHUNK`
-    at a time into one reused float64 buffer: the stream of one draw of
-    ``flat.shape``."""
+    scale = ws.get(key, x.shape, x.dtype, capacity)
+    flat = scale.reshape(-1)
     chunk = ws.get("scratch.uniform", (UNIFORM_CHUNK,), np.float64)
     for a in range(0, flat.size, UNIFORM_CHUNK):
         part = flat[a : a + UNIFORM_CHUNK]
         np.greater_equal(rng.random(out=chunk[: part.size]), rate, out=part)
-
-
-def _attention_dropout_scale(shape, rate, rng, padded, ws, key, dtype):
-    """The dropout scale of (J, ..., m, m) attention weights on a compact
-    grid. The uniforms are drawn for the whole padded (J, ..., L, L) grid,
-    as :func:`dropout_forward` draws them, and each compact weight keeps the
-    draw of its padded slot, so the stream and the scale of a valid weight
-    do not depend on m."""
-    heads, m, width = shape[0], shape[-1], padded.width
-    seqs = prod(shape[1:-2])
-    draws = seqs * width * width  # one head's padded grid
-    kept = ws.get("scratch.kept", (heads * draws,), bool)
-    _draw_kept(kept, rate, rng, ws)
-    cols = padded.cols.reshape(seqs, m)
-    # the flat offset of compact slot (s, a, b) in one head's (S, L, L) draws
-    rows = (np.arange(seqs)[:, None] * width + cols) * width
-    at = np.add(rows[:, :, None], cols[:, None, :], out=ws.get("scratch.drop_at", (seqs, m, m), np.intp, draws))
-    keep = ws.get("scratch.keep", (seqs, m, m), bool, draws)
-    scale = ws.get(f"{key}.drop_scale", shape, dtype, heads * draws)
-    kept_value = dtype.type(1.0) / dtype.type(1.0 - rate)  # as dropout_forward's scale /= 1 - rate
-    for j, head in enumerate(scale.reshape(heads, seqs, m, m)):
-        np.take(kept[j * draws : (j + 1) * draws], at, out=keep)
-        np.multiply(keep, kept_value, out=head)
-    return scale
+    scale /= 1.0 - rate
+    return np.multiply(x, scale, out=out), scale
 
 
 def dropout_backward(grad, scale):
@@ -391,7 +354,7 @@ def _stacked_heads(wq, wk, wv):
 
 def multi_head_attention(
     x, mask, wq, wk, wv, wo, bo, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="msa", out=None,
-    padded=None,
+    width=None,
 ):
     """Masked multi-head self-attention over one or a batch of windows.
 
@@ -408,13 +371,14 @@ def multi_head_attention(
     masked keys, whose weights and gradients are exact zeros, so while the
     scores stay finite its value changes no output row and no gradient.
 
-    ``padded`` (a :class:`PaddedColumns`) places the grid's slots in a padded
-    (..., L, L) grid, as :func:`compact_grid` does; None means the grid is
-    its own padded grid. Dropout draws one uniform per weight of the padded
-    (J, ..., L, L) grid and scales each weight by the draw of its padded
-    slot, and the grid arrays' storage is sized for the padded grid.
+    Dropout is :func:`dropout_forward` on the (J, ..., m, m) weights: one
+    uniform per weight, in C order, PAD rows and keys included. ``width``
+    is the width L of the padded grid that ``x`` was compacted from (None:
+    m); it only sizes storage, so every grid array, the dropout scale
+    included, has the capacity of its (..., L, ·) shape, and a change of m
+    up to L replaces none of them.
 
-    Returns (rows, cache). The cache keeps ``x``, ``mask``, ``padded`` and
+    Returns (rows, cache). The cache keeps ``x``, ``mask``, ``width`` and
     ``weights`` (wq, wk, wv, wo); its head arrays are head-first:
     ``q``/``k``/``v`` (J, ..., m, d_k) and ``attn`` (the softmax weights,
     before dropout) and ``dropped`` (J, ..., m, m), which is ``attn`` itself
@@ -422,14 +386,13 @@ def multi_head_attention(
     """
     ws = _workspace(ws)
     m = x.shape[-2]
-    if padded is None:
-        padded = PaddedColumns(np.broadcast_to(np.arange(m), mask.shape), m)
+    width = m if width is None else width
     heads, d_head = wq.shape[0], wq.shape[-1]
     head_shape = (heads,) + x.shape[:-1] + (d_head,)
     score_shape = head_shape[:-1] + (m,)
 
     def grid(name, shape, square=False):
-        return ws.get(name, shape, x.dtype, _padded_size(shape, padded.width, square))
+        return ws.get(name, shape, x.dtype, _padded_size(shape, width, square))
 
     index = np.flatnonzero(mask)
     scale = 1.0 / sqrt(d_head)
@@ -441,8 +404,11 @@ def multi_head_attention(
     masked_softmax(attn, mask, out=attn)
     dropped, drop_scale = attn, None
     if training and dropout_rate != 0.0:
-        drop_scale = _attention_dropout_scale(score_shape, dropout_rate, rng, padded, ws, key, x.dtype)
-        dropped = np.multiply(attn, drop_scale, out=grid(f"{key}.dropped", score_shape, square=True))
+        dropped, drop_scale = dropout_forward(
+            attn, dropout_rate, rng, training, ws=ws, key=f"{key}.drop_scale",
+            out=grid(f"{key}.dropped", score_shape, square=True),
+            capacity=_padded_size(score_shape, width, square=True),
+        )
     context = np.matmul(dropped, v, out=grid(_GRID, head_shape))
     concat = ws.get(f"{key}.concat", (len(index), heads * d_head), x.dtype)
     _heads_to_rows(context, index, concat.reshape(len(index), heads, d_head), ws)
@@ -450,7 +416,7 @@ def multi_head_attention(
         out = ws.get("scratch.msa", (len(index),) + wo.shape[1:], x.dtype)
     y, _ = linear_forward(concat, wo, bo, out=out)
     cache = {
-        "x": x, "mask": mask, "padded": padded, "index": index, "q": q, "k": k, "v": v, "attn": attn,
+        "x": x, "mask": mask, "width": width, "index": index, "q": q, "k": k, "v": v, "attn": attn,
         "drop_scale": drop_scale, "dropped": dropped, "concat": concat,
         "weights": (wq, wk, wv, wo), "scale": scale, "ws": ws,
     }
@@ -474,7 +440,7 @@ def multi_head_attention_backward(grad, cache):
     heads, d_head = wq.shape[0], wq.shape[-1]
 
     def grid(name, shape, square=False):
-        return ws.get(name, shape, x.dtype, _padded_size(shape, cache["padded"].width, square))
+        return ws.get(name, shape, x.dtype, _padded_size(shape, cache["width"], square))
 
     dconcat, dwo, dbo = linear_backward(
         grad, cache["concat"], wo, out=ws.get("grad.msa.dconcat", cache["concat"].shape, x.dtype)
@@ -557,15 +523,16 @@ def _gather_rows(grid, index, out):
 
 
 def transformer_layer_forward(
-    x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer", out=None, padded=None
+    x, mask, layer, *, dropout_rate=0.0, rng=None, training=False, ws=None, key="layer", out=None, width=None
 ):
     """One pre-output block on packed rows: LN(x + MSA(x)) then LN(.. + FFN(..)).
 
     ``x`` (R, h) holds the valid slots of ``mask`` (..., m) in C order. The
     layer scatters them into a zero-PAD (..., m, h) grid, which the
-    attention takes (with ``padded``, see :func:`multi_head_attention`) and
-    its cache keeps; the attention returns its output rows into the LN1
-    buffer, and everything else runs on the R rows.
+    attention takes and its cache keeps; ``width``, the padded grid's width
+    L (None: m), sizes the grid's storage, as
+    :func:`multi_head_attention`'s. The attention returns its output rows
+    into the LN1 buffer, and everything else runs on the R rows.
     ``layer`` is a mapping with keys wq, wk, wv, wo, bo, ln1_g, ln1_b,
     ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b. The residual sums are
     written over buffers that no cache keeps, and the output to ``out``
@@ -573,12 +540,12 @@ def transformer_layer_forward(
     """
     ws = _workspace(ws)
     shape = mask.shape + x.shape[-1:]
-    width = shape[-2] if padded is None else padded.width
+    width = shape[-2] if width is None else width
     grid = ws.get(f"{key}.msa.x", shape, x.dtype, _padded_size(shape, width))
     r1, msa_cache = multi_head_attention(
         _scatter_rows(x, np.flatnonzero(mask), grid), mask, layer["wq"], layer["wk"], layer["wv"], layer["wo"],
         layer["bo"], dropout_rate=dropout_rate, rng=rng, training=training, ws=ws, key=f"{key}.msa",
-        out=ws.get(f"{key}.ln1.y", x.shape, x.dtype), padded=padded,
+        out=ws.get(f"{key}.ln1.y", x.shape, x.dtype), width=width,
     )
     x1, ln1_cache = layer_norm_forward(
         np.add(r1, x, out=r1), layer["ln1_g"], layer["ln1_b"], ws=ws, key=f"{key}.ln1", out=r1

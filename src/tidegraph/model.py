@@ -53,8 +53,12 @@ evaluation): (S, m), m the most valid slots of any sequence, each
 sequence's valid slots right-aligned in their order, so the rows keep their
 order. For layouts il and sl that is
 the last m columns of the left-padded windows; for ml it also closes the
-PAD gap between a pair's two windows. The attention's dropout still draws
-its uniforms for the padded (S, L, L) grid (see :mod:`.attention`).
+PAD gap between a pair's two windows. The attention's dropout draws one
+uniform per weight of that compact (J, S, m, m) grid, so its stream follows
+m; the grid arrays' storage is sized for the padded (S, L) grid (see
+:mod:`.attention`). The forward's cache keeps each compact slot's padded
+column, from which :func:`attention_weights` puts the weights back on the
+(S, L) grid.
 
 Parameters and checkpoints: :class:`ModelParameters` holds its values and
 its gradients as one contiguous 1-D array each (a :class:`~.optim.FlatTensors`),
@@ -465,8 +469,10 @@ def forward_batch(
 
     The cache lives in ``params.workspace`` and stays valid until the next
     forward on ``params``; the probabilities are a fresh array. Its
-    ``tokens`` are the (R, width) token rows and ``final_rows`` the (R, h)
-    output rows of the last layer.
+    ``tokens`` are the (R, width) token rows, ``final_rows`` the (R, h)
+    output rows of the last layer, and ``cols`` (S, m) and ``width`` (L) the
+    padded column of each slot of the attention's compact grid and the
+    padded grid's width.
 
     Inside ``params.workspace.inference()`` the sequences of
     :func:`to_sequences` run, in order, in tiles of whole sequences of at
@@ -509,7 +515,7 @@ def _forward_tile(params, cfg, batch, slots, mask, training, rng):
     ws.row_capacity = mask.size
     tokens, asm_cache = _assemble_tokens(params, cfg, batch, slots)
     # the attention's compact grid: the same rows in the same order
-    grid_mask, padded = nn.compact_grid(mask)
+    grid_mask, cols = nn.compact_grid(mask)
 
     w_in = params.values["input.w"]
     out = ws.get("rows", (len(tokens),) + w_in.shape[1:], params.dtype)
@@ -519,14 +525,17 @@ def _forward_tile(params, cfg, batch, slots, mask, training, rng):
         # every layer writes its output rows over its input rows
         x, cache_l = nn.transformer_layer_forward(
             x, grid_mask, params.layer_view(l), dropout_rate=cfg.dropout, rng=rng, training=training,
-            ws=ws, key="layers.0" if ws.shared_layers else f"layers.{l}", out=x, padded=padded,
+            ws=ws, key="layers.0" if ws.shared_layers else f"layers.{l}", out=x, width=mask.shape[1],
         )
         layer_caches.append(cache_l)
 
     # each window's mean: the sequence mask viewed as (S, L / n) windows of
     # n slots gives (S, L / n, h) embeddings
     emb, readout_cache = nn.readout_forward(x, mask.reshape(len(mask), -1, batch.mask.shape[1]), ws=ws)
-    cache = {"asm": asm_cache, "tokens": tokens, "layers": layer_caches, "readout": readout_cache, "final_rows": x}
+    cache = {
+        "asm": asm_cache, "tokens": tokens, "layers": layer_caches, "readout": readout_cache, "final_rows": x,
+        "cols": cols, "width": mask.shape[1],
+    }
     return emb, cache
 
 
@@ -604,7 +613,7 @@ def attention_weights(cache, layer: int = -1) -> np.ndarray:
     the layer's compact grid put back at their slots' columns, with zeros on
     PAD query rows and key columns. A fresh array."""
     msa = cache["layers"][layer]["msa"]
-    attn, (cols, width) = msa["attn"], msa["padded"]
+    attn, cols, width = msa["attn"], cache["cols"], cache["width"]
     out = np.zeros(attn.shape[:-2] + (width, width), attn.dtype)
     seqs = np.arange(len(cols))[:, None, None]
     out[:, seqs, cols[:, :, None], cols[:, None, :]] = attn * msa["mask"][..., None]

@@ -14,8 +14,7 @@ parameters, their gradients and the two moments, in this order::
 
 which is the order of a per-tensor loop, so the result is bitwise that
 loop's. Its temporaries live in two buffers the state keeps, so a warm step
-allocates no array. Plain named dicts (tensors not in one store) take the
-same pass tensor by tensor.
+allocates no array.
 """
 
 from __future__ import annotations
@@ -79,13 +78,9 @@ class AdamState:
     _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
-        """Zero moments shaped like ``params``, a store or a named dict."""
-        if isinstance(params, FlatTensors):
-            table, dtype = params.table, params.flat.dtype
-        else:
-            table = FlatTensors.layout((k, p.shape) for k, p in params.items())
-            dtype = np.result_type(*params.values())
+    def for_params(cls, params: FlatTensors) -> "AdamState":
+        """Zero moments over the table and dtype of the store ``params``."""
+        table, dtype = params.table, params.flat.dtype
         return cls(m=FlatTensors.zeros(table, dtype), v=FlatTensors.zeros(table, dtype))
 
     def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +91,8 @@ class AdamState:
 
 
 def adam_step(
-    params: dict,
-    grads: dict,
+    params: FlatTensors,
+    grads: FlatTensors,
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
@@ -107,31 +102,25 @@ def adam_step(
 ) -> AdamState:
     """In-place parameter update; weight decay is decoupled from the moments.
 
-    When ``params`` and ``grads`` are stores over the moments' table, the
-    update is one pass over the flat arrays; otherwise one per named tensor.
-    Every array has the moments' dtype.
+    ``params`` and ``grads`` are stores over the moments' table, in their
+    dtype; the update is one pass over the flat arrays.
     """
     state.t += 1
     t = state.t
     bias1 = 1.0 - beta1 ** t
     bias2 = 1.0 - beta2 ** t
-    groups = (params, grads, state.m, state.v)
-    if all(isinstance(gr, FlatTensors) and gr.table == state.m.table for gr in groups):
-        segments = [tuple(gr.flat for gr in groups)]
-    else:
-        segments = [(p, grads[k], state.m[k], state.v[k]) for k, p in params.items()]
-    for p, g, m, v in segments:
-        a, b = (s.reshape(p.shape) for s in state.scratch(p.size))
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, bias1, out=a)
-        np.sqrt(np.divide(v, bias2, out=b), out=b)
-        b += eps
-        a /= b
-        if weight_decay:
-            p -= np.multiply(p, lr * weight_decay, out=b)
-        p -= np.multiply(a, lr, out=a)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    a, b = state.scratch(p.size)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=a)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, bias1, out=a)
+    np.sqrt(np.divide(v, bias2, out=b), out=b)
+    b += eps
+    a /= b
+    if weight_decay:
+        p -= np.multiply(p, lr * weight_decay, out=b)
+    p -= np.multiply(a, lr, out=a)
     return state

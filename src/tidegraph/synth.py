@@ -41,6 +41,7 @@ def generate_cycle_corpus(
     event every week/3 seconds (with a per-source phase), visiting its triple
     in a fixed cyclic order, so the full triple repeats with weekly period.
     """
+    _check_events(num_events, num_sources)
     rng = np.random.default_rng(seed)
     triples = np.array(
         [rng.choice(num_targets, size=3, replace=False) for _ in range(num_sources)]
@@ -61,6 +62,13 @@ def generate_cycle_corpus(
 
     store = EventStore(src, tgt, ts, feats, num_nodes=num_sources + num_targets, bipartite=True)
     return store, _weekly_manifest(store)
+
+
+def _check_events(num_events: int, num_sources: int) -> None:
+    """Each source emits ``num_events // num_sources`` events, so fewer than
+    ``num_sources`` would make an empty corpus."""
+    if num_events < num_sources:
+        raise ValueError(f"num_events must be at least num_sources ({num_sources}), got {num_events}")
 
 
 def _weekly_manifest(store: EventStore) -> DatasetManifest:
@@ -117,6 +125,7 @@ def generate_hotnode_corpus(
     in the stream (hot -> signature) hinges on spotting the hot node in the
     history. Returns the store, manifest, and the hot node id.
     """
+    _check_events(num_events, num_sources)
     rng = np.random.default_rng(seed)
     hot = num_sources  # first target id
     cold = np.arange(num_sources + 1, num_sources + 1 + num_cold_targets)

@@ -17,7 +17,7 @@ from tidegraph.attention import (
     sigmoid,
     transformer_layer_forward,
 )
-from tidegraph.optim import AdamState, adam_step
+from tidegraph.optim import AdamState, FlatTensors, adam_step
 
 
 class TestMaskedSoftmax:
@@ -377,24 +377,29 @@ class TestBceLoss:
             assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < 1e-6
 
 
+def _store(w):
+    """A float64 store of the one tensor ``w``."""
+    return FlatTensors.pack({"w": np.asarray(w, dtype=np.float64)}, np.float64)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = _store([1.0, -2.0])
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
+        adam_step(params, _store(np.zeros(2)), state, lr=0.1)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        params = {"w": np.array([0.0, 0.0])}
+        params = _store([0.0, 0.0])
         state = AdamState.for_params(params)
         g = np.array([0.3, -0.7])
-        adam_step(params, {"w": g}, state, lr=0.01)
+        adam_step(params, _store(g), state, lr=0.01)
         np.testing.assert_allclose(params["w"], -0.01 * np.sign(g), rtol=1e-7)
 
     def test_scalar_quadratic_trajectory(self):
         # minimize 0.5*(w-3)^2 and compare with an explicitly stepped reference
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        params = {"w": np.array([0.0])}
+        params = _store([0.0])
         state = AdamState.for_params(params)
         w_ref, m_ref, v_ref = 0.0, 0.0, 0.0
         for t in range(1, 4):
@@ -402,12 +407,12 @@ class TestAdam:
             m_ref = b1 * m_ref + (1 - b1) * g
             v_ref = b2 * v_ref + (1 - b2) * g * g
             w_ref -= lr * (m_ref / (1 - b1**t)) / (math.sqrt(v_ref / (1 - b2**t)) + eps)
-            adam_step(params, {"w": np.array([params["w"][0] - 3.0])}, state, lr=lr)
+            adam_step(params, _store([params["w"][0] - 3.0]), state, lr=lr)
             assert params["w"][0] == pytest.approx(w_ref, abs=1e-14)
 
     def test_decoupled_weight_decay(self):
-        params = {"w": np.array([2.0])}
+        params = _store([2.0])
         state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(1)}, state, lr=0.5, weight_decay=0.1)
+        adam_step(params, _store(np.zeros(1)), state, lr=0.5, weight_decay=0.1)
         # zero gradient: only the decay term moves the parameter
         np.testing.assert_allclose(params["w"], [2.0 * (1 - 0.5 * 0.1)])

@@ -40,6 +40,14 @@ def test_gradcheck_batch_beyond_fixture_corpus(capsys, batch):
     assert f"batch_pairs must lie in [1, 240] (the fixture corpus has 240 events), got {batch}" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("mode, events, sources", [("cycle", "0", 50), ("hotnode", "1", 20), ("cycle", "-3", 50)])
+def test_gen_synth_rejects_an_empty_corpus(tmp_path, capsys, mode, events, sources):
+    out = tmp_path / "events.csv"
+    assert main(["gen-synth", "--mode", mode, "--events", events, "--out", str(out)]) == 2
+    assert f"at least num_sources ({sources}), got {events}" in _error_line(capsys)
+    assert not out.exists()
+
+
 def test_train_default_config_on_synthetic_corpus(tmp_path, capsys):
     # the default model on a bundled corpus: with alpha unset, the time
     # encoder is fitted to the stream (alpha from its duration, granularity

@@ -123,19 +123,6 @@ class TestFlatAdam:
             assert state.m[name].tobytes() == m[name].tobytes(), name
             assert state.v[name].tobytes() == v[name].tobytes(), name
 
-    def test_named_dicts_take_the_same_pass(self):
-        params = _params(np.float64)
-        plain = {k: p.copy() for k, p in params.values.items()}
-        grads = {k: np.full_like(p, 0.25) for k, p in plain.items()}
-        params.grads.flat[:] = 0.25
-        a, b = AdamState.for_params(params.values), AdamState.for_params(plain)
-        for _ in range(3):
-            adam_step(params.values, params.grads, a, lr=1e-2, weight_decay=0.1)
-            adam_step(plain, grads, b, lr=1e-2, weight_decay=0.1)
-        for name, p in plain.items():
-            assert p.tobytes() == params.values[name].tobytes(), name
-        assert b.m.flat.tobytes() == a.m.flat.tobytes()
-
     def test_warm_step_allocates_no_array(self):
         params = _params()
         params.grads.flat[:] = np.random.default_rng(0).normal(size=params.num_scalars)

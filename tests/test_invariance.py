@@ -15,13 +15,18 @@
   the query time. With later pairs in the batch, whose windows the rewrite
   changes, it holds to float32 rounding, as batch invariance does.
 
-These run on one set of parameters, so they also check that the step
-workspace, reused across batch sizes, leaks nothing from one batch into the
-next. BIE cannot pass batch invariance, or future perturbation with later
-pairs in the batch, yet: its counts are read through dictionaries built
-from the whole batch, where a later pair's window can replace an earlier
-one's (the ROADMAP item "Correctness: BIE must depend on the pair alone"),
-so those cases are strict xfails.
+* Training does not see its evaluations: with dropout on, the per-epoch
+  training loss is bitwise the same whether the evaluations draw random,
+  historical or inductive negatives, because each evaluation draws from its
+  own seeded generators, never from the dropout generator.
+
+The probability properties run on one set of parameters, so they also
+check that the step workspace, reused across batch sizes, leaks nothing
+from one batch into the next. BIE cannot pass batch invariance, or future
+perturbation with later pairs in the batch, yet: its counts are read
+through dictionaries built from the whole batch, where a later pair's
+window can replace an earlier one's (the ROADMAP item "Correctness: BIE
+must depend on the pair alone"), so those cases are strict xfails.
 """
 
 import dataclasses
@@ -31,9 +36,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tidegraph.config import RunConfig, TrainConfig
 from tidegraph.encoders import MteConfig
 from tidegraph.events import EventStore
-from tidegraph.harness import sample_pair_windows
+from tidegraph.harness import sample_pair_windows, train
 from tidegraph.model import ModelConfig, ModelParameters, featurize_pairs, predict_probs
 from tidegraph.sampling import NeighborSampler
 from tidegraph.synth import generate_cycle_corpus
@@ -183,3 +189,20 @@ def test_future_events_in_batch_do_not_move_probabilities(case, seed):
 @example(seed=0)
 def test_bie_future_events_in_batch_do_not_move_probabilities(seed):
     _check_future_perturbation("il+bie", seed, later_pairs=True)
+
+
+@pytest.mark.parametrize("case", ["il", "ml", "il+bie"])
+def test_training_loss_does_not_depend_on_the_evaluation_negatives(case):
+    cfg = dataclasses.replace(CASES[case], mte=MteConfig(d_t=100, alpha=26.0, beta=10.0))
+    assert cfg.dropout > 0
+    losses, val_aps = {}, {}
+    for nss in ("random", "historical", "inductive"):
+        run_cfg = RunConfig(
+            model=cfg, train=TrainConfig(lr=1e-3, epochs=3, patience=4, batch_size=40, seed=3), nss=nss
+        )
+        records = train(STORE, run_cfg).epoch_records
+        losses[nss] = [r["train_loss"] for r in records]
+        val_aps[nss] = tuple(r["val_ap"] for r in records)
+    assert len(losses["random"]) == 3
+    assert losses["historical"] == losses["random"] and losses["inductive"] == losses["random"]
+    assert len(set(val_aps.values())) > 1  # the evaluations did differ

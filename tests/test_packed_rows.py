@@ -6,9 +6,11 @@ the attention sees a grid, and a compact one: each sequence's valid slots
 right-aligned in as many columns as the batch's longest sequence has. So a
 PAD slot costs no row and no FFN dropout draw, and a batch whose windows are
 all PAD (R = 0, a grid of width 0) still runs, its pairs scored from zero
-embeddings. The compact grid gives the probabilities and gradients of the
-padded (S, L) grid, which the tests keep as a reference, and the attention
-still draws its dropout uniforms for the padded grid.
+embeddings. Without dropout the compact grid gives the probabilities and
+gradients of the padded (S, L) grid, which the tests keep as a reference.
+With dropout the two draw different streams: the attention draws one
+uniform per weight of the grid it computes on, the compact (J, S, m, m)
+one, as the FFN draws one per hidden unit of its rows.
 """
 
 import dataclasses
@@ -94,13 +96,13 @@ def _off_zero(params):
 
 def _padded_grid(mask):
     """The reference: the padded (S, L) grid as its own attention grid."""
-    return mask, nn.PaddedColumns(np.broadcast_to(np.arange(mask.shape[-1]), mask.shape), mask.shape[-1])
+    return mask, np.broadcast_to(np.arange(mask.shape[-1]), mask.shape)
 
 
 def _train_step(params, cfg, batch, labels):
     """Probabilities, gradients and the dropout generator's state after one
-    training step with dropout, then the attention's mask and each layer's
-    weights on the window grid from an evaluation forward."""
+    training step, then the attention's mask and each layer's weights on the
+    window grid from an evaluation forward."""
     rng = np.random.default_rng(5)
     _, probs = loss_and_grads(params, cfg, batch, labels, training=True, rng=rng)
     grads = {k: g.copy() for k, g in params.grads.items()}
@@ -119,7 +121,8 @@ TOLERANCE = {dtype: 64 * np.finfo(dtype).eps for dtype in (np.float64, np.float3
 @pytest.mark.parametrize("kind", list(BATCHES))
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
 def test_compact_grid_matches_padded_reference(monkeypatch, layout, kind, dtype):
-    cfg = _cfg(layout)
+    # at dropout 0: with dropout on, the two grids draw different streams
+    cfg = dataclasses.replace(_cfg(layout), dropout=0.0)
     batch, labels = BATCHES[kind](cfg)
     params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4).astype(dtype)
     probs, grads, state, mask, weights = _train_step(params, cfg, batch, labels)
@@ -138,7 +141,7 @@ def test_compact_grid_matches_padded_reference(monkeypatch, layout, kind, dtype)
     if kind == "pad gaps":
         assert mask.shape[1] < padded_mask.shape[1]
 
-    assert state == want_state  # the same dropout stream
+    assert state == want_state  # no draws on either grid
     tol = TOLERANCE[dtype]
     np.testing.assert_allclose(probs, want_probs, rtol=tol, atol=0)
     for name, g in want_grads.items():
@@ -151,10 +154,10 @@ def test_compact_grid_matches_padded_reference(monkeypatch, layout, kind, dtype)
 
 
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
-def test_attention_dropout_keeps_the_padded_draws(layout):
-    # each compact weight's dropout scale is the scale that dropout on the
-    # padded (J, S, L, L) grid gives its slot, layer after layer, with each
-    # layer's FFN drawing in between
+def test_attention_dropout_draws_on_the_compact_grid(layout):
+    # each layer's attention dropout scale is dropout_forward's on ones of
+    # the compact (J, S, m, m) shape, m < L, with each layer's FFN drawing
+    # in between
     cfg = _cfg(layout)
     batch, _ = _gap_batch(cfg)
     params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4)
@@ -164,13 +167,11 @@ def test_attention_dropout_keeps_the_padded_draws(layout):
     expected = np.random.default_rng(5)
     for layer in cache["layers"]:
         msa = layer["msa"]
-        ones = np.ones((cfg.heads,) + padded_mask.shape + padded_mask.shape[-1:], params.dtype)
-        _, want = nn.dropout_forward(ones, cfg.dropout, expected, True)
+        seqs, m = msa["mask"].shape
+        assert seqs == len(padded_mask) and m < padded_mask.shape[1]
+        _, want = nn.dropout_forward(np.ones((cfg.heads, seqs, m, m), params.dtype), cfg.dropout, expected, True)
         expected.random(rows * 4 * cfg.hidden)  # the FFN's draws
-        cols = msa["padded"].cols
-        assert msa["drop_scale"].shape[-1] == cols.shape[-1] < padded_mask.shape[-1]
-        seqs = np.arange(len(cols))[:, None, None]
-        np.testing.assert_array_equal(msa["drop_scale"], want[:, seqs, cols[:, :, None], cols[:, None, :]])
+        np.testing.assert_array_equal(msa["drop_scale"], want)
 
 
 def test_ml_gaps_pass_central_differences():
@@ -216,7 +217,7 @@ def test_all_pad_batch(layout):
 @pytest.mark.parametrize("layout", ["il", "sl", "ml"])
 def test_pad_rows_cost_nothing(layout):
     cfg = _cfg(layout)
-    batch, _ = _mixed_batch(cfg)
+    batch, _ = _gap_batch(cfg)
     params = ModelParameters(cfg, STORE.d_n, STORE.d_e, seed=4)
     rows, h = int(batch.mask.sum()), cfg.hidden
 
@@ -233,9 +234,12 @@ def test_pad_rows_cost_nothing(layout):
         assert layer["msa"]["concat"].shape == (rows, h)
 
     # dropout draws one float64 uniform per real FFN unit and per attention
-    # weight of the padded (J, S, L, L) grid, layer after layer, and nothing else
+    # weight of the compact (J, S, m, m) grid, m < L, layer after layer, and
+    # nothing else
     seqs, length = to_sequences(batch.mask, cfg).shape
-    per_layer = rows * 4 * h + cfg.heads * seqs * length * length
+    m = cache["layers"][0]["msa"]["mask"].shape[1]
+    assert m < length
+    per_layer = rows * 4 * h + cfg.heads * seqs * m * m
     expected = np.random.default_rng(5)
     expected.random(cfg.layers * per_layer)
     assert rng.bit_generator.state == expected.bit_generator.state

@@ -1,10 +1,11 @@
 """The cycle corpus and its model-free oracle."""
 
 import numpy as np
+import pytest
 
 from tidegraph.metrics import auc_roc, average_precision
 from tidegraph.sampling import NegativeSampler, NegativeSamplingStrategy
-from tidegraph.synth import cycle_oracle_scores, generate_cycle_corpus
+from tidegraph.synth import cycle_oracle_scores, generate_cycle_corpus, generate_hotnode_corpus
 
 
 def test_cycle_oracle_is_a_near_perfect_ceiling():
@@ -29,3 +30,18 @@ def test_cycle_oracle_is_a_near_perfect_ceiling():
     labels = np.concatenate([np.ones(len(positives)), np.zeros(len(positives))])
     assert average_precision(scores, labels) >= 0.99
     assert auc_roc(scores, labels) >= 0.99
+
+
+@pytest.mark.parametrize("events", [-3, 0, 4])
+@pytest.mark.parametrize("generate", [generate_cycle_corpus, generate_hotnode_corpus])
+def test_fewer_events_than_sources_is_refused(generate, events):
+    # each source emits num_events // num_sources events: none here
+    with pytest.raises(ValueError, match=r"at least num_sources \(5\)"):
+        generate(num_sources=5, num_events=events)
+
+
+@pytest.mark.parametrize("generate", [generate_cycle_corpus, generate_hotnode_corpus])
+def test_one_event_per_source_is_the_smallest_corpus(generate):
+    store = generate(num_sources=5, num_events=5)[0]
+    assert store.num_events == 5
+    np.testing.assert_array_equal(np.sort(store.src), np.arange(5))
